@@ -31,8 +31,6 @@ import numpy as np
 __all__ = [
     "TSIRELSON_BOUND",
     "PAIR_ORDER",
-    "SettingsPair",
-    "OutcomePair",
     "ConditionalDistribution",
     "CountsTable",
     "InputDistribution",
@@ -60,48 +58,6 @@ _LN2 = math.log(2.0)
 def pair_index(first: int, second: int) -> int:
     """Index of a binary pair in the canonical 00, 10, 01, 11 order."""
     return first + 2 * second
-
-
-class SettingsPair(tuple):
-    """Measurement settings ``(x, y)`` with x, y in {0, 1}."""
-
-    def __new__(cls, x: int, y: int):
-        if x not in (0, 1) or y not in (0, 1):
-            raise ValueError(f"settings must be binary, got ({x}, {y})")
-        return super().__new__(cls, (x, y))
-
-    @property
-    def x(self) -> int:
-        return self[0]
-
-    @property
-    def y(self) -> int:
-        return self[1]
-
-    @property
-    def index(self) -> int:
-        return pair_index(self[0], self[1])
-
-
-class OutcomePair(tuple):
-    """Measurement outcomes ``(a, b)`` with a, b in {0, 1}."""
-
-    def __new__(cls, a: int, b: int):
-        if a not in (0, 1) or b not in (0, 1):
-            raise ValueError(f"outcomes must be binary, got ({a}, {b})")
-        return super().__new__(cls, (a, b))
-
-    @property
-    def a(self) -> int:
-        return self[0]
-
-    @property
-    def b(self) -> int:
-        return self[1]
-
-    @property
-    def index(self) -> int:
-        return pair_index(self[0], self[1])
 
 
 class PolytopeError(RuntimeError):

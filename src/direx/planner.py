@@ -25,7 +25,7 @@ import numpy as np
 
 from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
 from direx.model import ConditionalDistribution, is_member_T
-from direx.pef import PefTable, block_gain, build_pef_table
+from direx.pef import block_gain, build_pef_table
 
 __all__ = [
     "PlanResult",
@@ -137,10 +137,6 @@ class GainCurve:
             rep = block_gain(table, self.nu_h)
             self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
         return self._cache[beta]
-
-    def table(self, beta: float) -> PefTable:
-        _, _, j_mid = self.rate(float(beta))
-        return build_pef_table(self.nu_h, float(beta), self.k, j_mid=j_mid)
 
 
 def _sigma_net_at(

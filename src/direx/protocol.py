@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -261,42 +262,57 @@ def expansion_summary(state: AccumulatorState, extractor, k: int) -> ExpansionRe
 # ---------------------------------------------------------------------------
 
 
+def _sample_blocks(
+    nu_table: np.ndarray, k: int, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Draw ``m`` honest blocks as ``(L, block_of_event, pos, out, spot)``.
+
+    One draw on ``0..2^(k+2)-1`` per block gives its length and spot
+    settings.  The pre-spot trials of all blocks form one Bernoulli(p_det)
+    stream whose detections are placed by cumulative geometric gaps: exact,
+    and distinct by construction.  Detection and spot outcomes share one
+    CDF lookup; ``spot`` is ``4 * settings + outcome``.
+    """
+    v = rng.integers(0, 2 ** (k + 2), size=m)
+    L, spot_s = (v >> 2) + 1, v & 3
+    cdf = np.cumsum(nu_table, axis=1)
+    p_det = 1.0 - cdf[0, 0]
+    ends = np.cumsum(L - 1)
+    n_trials = int(ends[-1])
+    hits, last = [np.empty(0, np.int64)], -1
+    while p_det > 0 and last < n_trials - 1:
+        mean = (n_trials - 1 - last) * p_det
+        gaps = rng.geometric(p_det, size=int(mean + 4 * math.sqrt(mean)) + 16)
+        # a gap past the end ends the stream; clipping keeps cumsum in range
+        hits.append(last + np.cumsum(np.minimum(gaps, n_trials + 1)))
+        last = int(hits[-1][-1])
+    t = np.concatenate(hits)
+    t = t[t < n_trials]
+    boe = np.searchsorted(ends, t, side="right")
+    pos = t - (ends - (L - 1))[boe] + 1
+    u = rng.random(t.size + m)
+    u[: t.size] = cdf[0, 0] + u[: t.size] * p_det
+    rows = np.concatenate((np.zeros(t.size, np.int64), spot_s))
+    out = (u[:, None] >= cdf[rows, :3]).sum(axis=1)
+    return L, boe, pos, out[: t.size], 4 * spot_s + out[t.size :]
+
+
 def simulate_block(
     nu_h: ConditionalDistribution, k: int, rng: np.random.Generator
 ) -> BlockRecord:
     """Draw one honest block.
 
     The block length is uniform on ``1..2^k``; pre-spot trials are i.i.d.
-    with outcome law ``nu_h(.|00)`` (drawn sparsely: a binomial detection
-    count, positions without replacement, detection outcomes from the
-    renormalised law, which is equivalent to the trial-by-trial draw); the
-    spot trial uses uniform settings.
+    with outcome law ``nu_h(.|00)``, their detections placed exactly by
+    geometric skip-sampling; the spot trial uses uniform settings.  This is
+    the columnar sampler behind :func:`simulate_run_witness` at one block.
     """
-    n = 2**k
-    length = int(rng.integers(1, n + 1))
-    p00 = nu_h.table[0]
-    p_det = float(1.0 - p00[0])
-    events: list[tuple[int, int]] = []
-    if length > 1 and p_det > 0:
-        m = int(rng.binomial(length - 1, p_det))
-        if m:
-            if 2 * m <= length - 1:
-                # distinct uniform positions by rejection: cheaper than a
-                # permutation when detections are sparse, and exactly uniform
-                while True:
-                    positions = rng.integers(1, length, size=m)
-                    if np.unique(positions).size == m:
-                        break
-            else:
-                positions = rng.permutation(length - 1)[:m] + 1
-            positions = np.sort(positions)
-            cdf = np.cumsum(p00[1:] / p_det)
-            outs = 1 + np.searchsorted(cdf, rng.random(m))
-            events = [(int(p), int(o)) for p, o in zip(positions, outs)]
-    s = int(rng.integers(0, 4))
-    o = int(rng.choice(4, p=nu_h.table[s]))
+    L, _, pos, out, spot = _sample_blocks(nu_h.table, k, 1, rng)
     return BlockRecord(
-        length=length, events=tuple(events), spot_settings=s, spot_outcome=o
+        length=int(L[0]),
+        events=tuple(zip(pos.tolist(), out.tolist())),
+        spot_settings=int(spot[0]) >> 2,
+        spot_outcome=int(spot[0]) & 3,
     )
 
 
@@ -407,14 +423,40 @@ def _witness_tables(table: PefTable):
     return prefix00, delta, log2f
 
 
+def _log2_pef_sums(tables, L, boe, pos, out, spot) -> np.ndarray:
+    """log2 block PEF products from ``(L, boe, pos, out, spot)`` columns.
+
+    ``np.add.at`` adds each block's events in order, so every sum equals
+    the one formed trial by trial for that block alone.
+    """
+    prefix00, delta, log2f = tables
+    totals = prefix00[L - 1]
+    np.add.at(totals, boe, delta[pos - 1, out])
+    totals += log2f[L - 1, spot]
+    return totals
+
+
+def _block_columns(records: Sequence[BlockRecord]) -> tuple[np.ndarray, ...]:
+    """``(L, block_of_event, pos, out, spot)`` columns of recorded blocks."""
+    n = len(records)
+    L = np.fromiter((r.length for r in records), np.int64, n)
+    n_ev = np.fromiter((len(r.events) for r in records), np.int64, n)
+    spot = np.fromiter(
+        (4 * r.spot_settings + r.spot_outcome for r in records), np.int64, n
+    )
+    flat = chain.from_iterable(chain.from_iterable(r.events for r in records))
+    ev = np.fromiter(flat, np.int64, 2 * int(n_ev.sum())).reshape(-1, 2)
+    boe = np.repeat(np.arange(n), n_ev)
+    return L, boe, ev[:, 0], ev[:, 1], spot
+
+
 def block_log2_pef(record: BlockRecord, table: PefTable, tables=None) -> float:
     """log2 of the block PEF product, from the sparse record."""
-    prefix00, delta, log2f = tables if tables is not None else _witness_tables(table)
-    total = prefix00[record.length - 1]
-    for pos, out in record.events:
-        total += delta[pos - 1, out]
-    total += log2f[record.length - 1, 4 * record.spot_settings + record.spot_outcome]
-    return float(total)
+    tabs = tables if tables is not None else _witness_tables(table)
+    return float(_log2_pef_sums(tabs, *_block_columns([record]))[0])
+
+
+_WITNESS_CHUNK = 1 << 12  # blocks per draw; bounds memory at k=17
 
 
 def simulate_run_witness(
@@ -423,65 +465,21 @@ def simulate_run_witness(
     n_blocks: int,
     seed: int,
     stream: int = 0,
-    chunk: int = 1 << 14,
 ) -> np.ndarray:
     """Per-block witness increments of one honest run, vectorised.
 
     Returns ``log2 G_i / beta`` for ``n_blocks`` simulated blocks on the
-    ``(seed, stream)`` generator.  Statistically identical to accumulating
-    :func:`simulate_block` records one by one, but fast enough for
-    million-block completeness studies.
+    ``(seed, stream)`` generator.  Blocks are drawn in chunks by the same
+    columnar sampler as :func:`simulate_block` and summed by the witness
+    kernel that :func:`accumulate` applies to recorded blocks.
     """
     rng = stream_rng(seed, stream)
-    n = table.n_positions
-    prefix00, delta, log2f = _witness_tables(table)
-    p00 = nu_h.table[0]
-    p_det = float(1.0 - p00[0])
-    det_out_cdf = np.cumsum(p00[1:] / p_det) if p_det > 0 else np.ones(3)
-    spot_cdf = np.cumsum(nu_h.table, axis=1)
-
+    tabs = _witness_tables(table)
     out = np.empty(n_blocks)
-    done = 0
-    while done < n_blocks:
-        m = min(chunk, n_blocks - done)
-        L = rng.integers(1, n + 1, size=m)
-        totals = prefix00[L - 1].copy()
-        if p_det > 0:
-            counts = rng.binomial(L - 1, p_det)
-            total_e = int(counts.sum())
-            if total_e:
-                boe = np.repeat(np.arange(m), counts)  # block of event
-                span = (L - 1)[boe]
-                pos = (rng.random(total_e) * span).astype(np.int64) + 1
-                # enforce distinct positions inside a block by redrawing
-                for _ in range(64):
-                    order = np.lexsort((pos, boe))
-                    sb, sp = boe[order], pos[order]
-                    dup = (sb[1:] == sb[:-1]) & (sp[1:] == sp[:-1])
-                    if not dup.any():
-                        break
-                    bad_blocks = np.unique(sb[1:][dup])
-                    redo = np.isin(boe, bad_blocks)
-                    pos[redo] = (rng.random(int(redo.sum())) * span[redo]).astype(
-                        np.int64
-                    ) + 1
-                else:
-                    # dense detections: settle stragglers exactly, per block
-                    order = np.lexsort((pos, boe))
-                    sb, sp = boe[order], pos[order]
-                    dup = (sb[1:] == sb[:-1]) & (sp[1:] == sp[:-1])
-                    for b in np.unique(sb[1:][dup]):
-                        sel = boe == b
-                        n_b = int(sel.sum())
-                        pos[sel] = rng.permutation(int(L[b]) - 1)[:n_b] + 1
-                outs = 1 + np.searchsorted(det_out_cdf, rng.random(total_e))
-                np.add.at(totals, boe, delta[pos - 1, outs])
-        s = rng.integers(0, 4, size=m)
-        u = rng.random(m)
-        o = (u[:, None] > spot_cdf[s]).sum(axis=1)
-        totals += log2f[L - 1, 4 * s + o]
-        out[done : done + m] = totals
-        done += m
+    for done in range(0, n_blocks, _WITNESS_CHUNK):
+        m = min(_WITNESS_CHUNK, n_blocks - done)
+        cols = _sample_blocks(nu_h.table, table.k, m, rng)
+        out[done : done + m] = _log2_pef_sums(tabs, *cols)
     return out / table.beta
 
 
@@ -537,9 +535,8 @@ def accumulate(
     the current cycle's block processing.
     """
     state = AccumulatorState()
-    rows: list[tuple[int, float, int]] = []
+    rows: list[np.ndarray] = []
     per_file = cfg.check_granularity == "file"
-    budget_left = True
 
     def fit_cycle(ci: int) -> PefTable:
         calib = _usable_calibration(cycles, ci, cfg.n_calib_min)
@@ -553,7 +550,7 @@ def accumulate(
         pool = ThreadPoolExecutor(max_workers=max(1, threads - 1))
     try:
         for ci in range(len(cycles)):
-            if not budget_left:
+            if state.N_run >= cfg.N_b:
                 break
             table = pending.result() if pending is not None else fit_cycle(ci)
             pending = (
@@ -564,35 +561,37 @@ def accumulate(
             if table.k != cfg.k or not math.isclose(table.beta, cfg.beta):
                 raise ValueError("PEF table does not match the run configuration")
             tabs = _witness_tables(table)
-            for f in cycles[ci].files:
-                for rec in f.blocks:
-                    state.N_run += 1
-                    state.bits_consumed += cfg.k + BITS_PER_SPOT_CHECK
-                    state.G_run += block_log2_pef(rec, table, tabs) / cfg.beta
-                    rows.append((state.N_run, state.G_run, state.bits_consumed))
-                    if (
-                        not per_file
-                        and not state.succeeded
-                        and state.G_run >= cfg.G_min
-                    ):
-                        state.succeeded = True
-                        state.stop_block = state.N_run
-                        if stop_on_success:
-                            return state, np.array(rows)
-                    if state.N_run >= cfg.N_b:
-                        budget_left = False
-                        break
+            for fi, f in enumerate(cycles[ci].files):
+                cols = _block_columns(f.blocks[: cfg.N_b - state.N_run])
+                if (cols[0] > 2**cfg.k).any():
+                    raise ValueError(f"cycle {ci}, file {fi}: block longer than 2^{cfg.k}")
+                inc = _log2_pef_sums(tabs, *cols) / cfg.beta
+                # increments can be negative: G_run is not monotone
+                g_run = np.cumsum(np.concatenate(([state.G_run], inc)))[1:]
+                crossed = np.flatnonzero(g_run >= cfg.G_min)
+                if not per_file and not state.succeeded and crossed.size:
+                    state.succeeded = True
+                    state.stop_block = state.N_run + int(crossed[0]) + 1
+                    if stop_on_success:
+                        g_run = g_run[: crossed[0] + 1]
+                index = state.N_run + np.arange(1, g_run.size + 1)
+                bits = index * (cfg.k + BITS_PER_SPOT_CHECK)
+                rows.append(np.column_stack((index, g_run, bits)))
+                state.N_run += g_run.size
+                state.bits_consumed = consumed_bits(state.N_run, cfg.k)
+                if g_run.size:
+                    state.G_run = float(g_run[-1])
                 if per_file and not state.succeeded and state.G_run >= cfg.G_min:
                     state.succeeded = True
                     state.stop_block = state.N_run
-                    if stop_on_success:
-                        return state, np.array(rows)
-                if not budget_left:
+                if state.succeeded and stop_on_success:
+                    return state, np.concatenate(rows)
+                if state.N_run >= cfg.N_b:
                     break
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-    return state, (np.array(rows) if rows else np.empty((0, 3)))
+    return state, (np.concatenate(rows) if rows else np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +624,13 @@ def read_blocks(fh) -> list[BlockRecord]:
         if len(head) < _BLOCK_HEAD.size:
             raise ValueError("truncated block stream")
         length, n_ev = _BLOCK_HEAD.unpack(head)
-        events = []
-        for _ in range(n_ev):
-            pos, outcome = _EVENT.unpack(fh.read(_EVENT.size))
-            events.append((pos, outcome))
-        s, o = _SPOT.unpack(fh.read(_SPOT.size))
+        body = fh.read(n_ev * _EVENT.size + _SPOT.size)
+        if len(body) < n_ev * _EVENT.size + _SPOT.size:
+            raise ValueError("truncated block stream")
+        s, o = _SPOT.unpack(body[-_SPOT.size :])
+        events = tuple(_EVENT.iter_unpack(body[: -_SPOT.size]))
         out.append(
-            BlockRecord(
-                length=length, events=tuple(events), spot_settings=s, spot_outcome=o
-            )
+            BlockRecord(length=length, events=events, spot_settings=s, spot_outcome=o)
         )
     return out
 

@@ -149,6 +149,23 @@ class TestSimulateAccumulate:
         code, _ = run(capsys, "accumulate", empty)
         assert code == cli.EXIT_INPUT_ERROR
 
+    def test_accumulate_k_below_data_exit_2(self, workdir, capsys):
+        ds = workdir / "k6"
+        code, _ = run(
+            capsys, "simulate", workdir / "dist.json", "--k", "6",
+            "--blocks", "200", "--seed", "5", "--out", ds, "--threads", "1",
+        )
+        assert code == 0
+        code = cli.main(
+            ["accumulate", str(ds), "--k", "4", "--beta", "1e-6", "--gmin", "1",
+             "--threads", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "cycle 0, file 0" in err
+
     def test_simulate_deterministic_rerun(self, workdir, capsys):
         out1 = workdir / "da"
         out2 = workdir / "db"

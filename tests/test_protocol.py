@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from direx import pef, protocol
 from direx.extractor import ExtractorParams
-from direx.model import ConditionalDistribution
+from direx.model import ConditionalDistribution, fit_mle
 from direx.protocol import (
     AccumulatorState,
     BlockRecord,
@@ -128,16 +129,6 @@ class TestDeterminism:
         )
         assert not (w1 == w3).all()
 
-    def test_chunking_does_not_change_draws(self, commissioning, small_table):
-        # chunk size is an internal detail; the stream order is fixed
-        w1 = simulate_run_witness(
-            small_table, commissioning["distribution"], 4097, seed=3, chunk=4097
-        )
-        w2 = simulate_run_witness(
-            small_table, commissioning["distribution"], 4097, seed=3, chunk=4097
-        )
-        assert (w1 == w2).all()
-
 
 class TestAccounting:
     def test_consumed_bits_production_numbers(self):
@@ -225,6 +216,14 @@ def sim(commissioning):
     return nu, records
 
 
+@pytest.fixture(scope="module")
+def dense_sim():
+    d = ConditionalDistribution(np.full((4, 4), 0.25))  # p_det = 0.75
+    table = pef.build_pef_table(d, 0.01, 5, optimize_j_mid=True)
+    rng = stream_rng(22)
+    return d, table, [simulate_block(d, 5, rng) for _ in range(100)]
+
+
 class TestAccumulate:
     def test_all_ones_pefs_never_succeed(self, sim):
         nu, records = sim
@@ -245,17 +244,19 @@ class TestAccumulate:
         assert state.G_run == 0.0
         assert state.N_run == 400
 
-    def test_sparse_dense_equivalence(self, sim, small_table):
-        nu, records = sim
-        tabs = protocol._witness_tables(small_table)
-        log2f = small_table.log2_f(np.arange(1, 65))
-        for rec in records[:100]:
-            sparse = protocol.block_log2_pef(rec, small_table, tabs)
-            dense = sum(
-                log2f[j - 1, 4 * s + o]
-                for j, (s, o) in enumerate(rec.dense_trials(), start=1)
-            )
-            assert sparse == pytest.approx(dense, abs=1e-12)
+    def test_sparse_dense_equivalence(self, sim, small_table, dense_sim):
+        _, records = sim
+        _, dense_table, dense_records = dense_sim
+        for table, recs in ((small_table, records[:100]), (dense_table, dense_records)):
+            tabs = protocol._witness_tables(table)
+            log2f = table.log2_f(np.arange(1, table.n_positions + 1))
+            for rec in recs:
+                sparse = protocol.block_log2_pef(rec, table, tabs)
+                dense = sum(
+                    log2f[j - 1, 4 * s + o]
+                    for j, (s, o) in enumerate(rec.dense_trials(), start=1)
+                )
+                assert sparse == pytest.approx(dense, abs=1e-12)
 
     def test_witness_additivity_across_splits(self, sim, small_table):
         nu, records = sim
@@ -360,6 +361,99 @@ class TestAccumulate:
             accumulate(cycles, cfg, lambda d: small_table)
 
 
+def _loop_log2_pef(rec: BlockRecord, tabs) -> float:
+    """Per-event reference sum of one block's log2 PEFs."""
+    prefix00, delta, log2f = tabs
+    total = prefix00[rec.length - 1]
+    for pos, out in rec.events:
+        total += delta[pos - 1, out]
+    total += log2f[rec.length - 1, 4 * rec.spot_settings + rec.spot_outcome]
+    return float(total)
+
+
+def _loop_accumulate(cycles, cfg, builder, stop_on_success):
+    """Per-block reference for accumulate: one witness update at a time."""
+    state = AccumulatorState()
+    rows = []
+    per_file = cfg.check_granularity == "file"
+    for ci in range(len(cycles)):
+        calib = protocol._usable_calibration(cycles, ci, cfg.n_calib_min)
+        table = builder(fit_mle(calib))
+        tabs = protocol._witness_tables(table)
+        for f in cycles[ci].files:
+            for rec in f.blocks:
+                inc = protocol.block_log2_pef(rec, table, tabs)
+                assert inc == _loop_log2_pef(rec, tabs)
+                state.N_run += 1
+                state.bits_consumed += cfg.k + 2
+                state.G_run += inc / cfg.beta
+                rows.append((state.N_run, state.G_run, state.bits_consumed))
+                if not per_file and not state.succeeded and state.G_run >= cfg.G_min:
+                    state.succeeded = True
+                    state.stop_block = state.N_run
+                    if stop_on_success:
+                        return state, np.array(rows)
+                if state.N_run >= cfg.N_b:
+                    break
+            if per_file and not state.succeeded and state.G_run >= cfg.G_min:
+                state.succeeded = True
+                state.stop_block = state.N_run
+                if stop_on_success:
+                    return state, np.array(rows)
+            if state.N_run >= cfg.N_b:
+                return state, np.array(rows)
+    return state, np.array(rows)
+
+
+@pytest.fixture(scope="module")
+def oracle_datasets(sim, small_table):
+    """(cycles, builder, a block budget that ends mid-file)."""
+    nu, records = sim
+    cfg = RunConfig(k=6, beta=1e-6, G_min=1e18, N_b=500, n_calib_min=1, seed=56)
+    refit, _ = simulate_dataset(nu, cfg, 100, 2, 30_000, 3_000)
+    return {
+        "one-cycle": (_cycles_from_records(nu, records), lambda d: small_table, 250),
+        "refit-cycles": (
+            refit,
+            lambda d: pef.build_pef_table(d, 1e-6, 6, j_mid=small_table.j_mid),
+            350,
+        ),
+    }
+
+
+class TestKernelOracle:
+    """accumulate's per-file kernel equals the per-block loop bit for bit."""
+
+    @pytest.mark.parametrize("dataset", ["one-cycle", "refit-cycles"])
+    @pytest.mark.parametrize("granularity", ["block", "file"])
+    @pytest.mark.parametrize("stop_on_success", [True, False])
+    @pytest.mark.parametrize("case", ["threshold", "budget"])
+    def test_accumulate_matches_block_loop(
+        self, oracle_datasets, dataset, granularity, stop_on_success, case
+    ):
+        cycles, builder, budget = oracle_datasets[dataset]
+        base = RunConfig(
+            k=6, beta=1e-6, G_min=1e18, N_b=10**6, n_calib_min=1, seed=0,
+            check_granularity=granularity,
+        )
+        if case == "threshold":
+            # reached mid-file by block 150 and at the file end at block 200
+            _, full = _loop_accumulate(cycles, base, builder, False)
+            g_min = float(min(full[149, 1], full[199, 1]))
+            cfg = dataclasses.replace(base, G_min=g_min)
+        else:
+            cfg = dataclasses.replace(base, N_b=budget)
+        want_state, want_trace = _loop_accumulate(cycles, cfg, builder, stop_on_success)
+        state, trace = accumulate(cycles, cfg, builder, stop_on_success=stop_on_success)
+        assert state == want_state
+        assert trace.shape == want_trace.shape
+        assert np.array_equal(trace, want_trace)
+        if case == "threshold":
+            assert state.succeeded
+        else:
+            assert state.N_run == budget
+
+
 class TestVectorizedWitness:
     def test_matches_per_block_accumulation_statistically(
         self, commissioning, small_table
@@ -419,8 +513,10 @@ class TestWireFormats:
         buf = io.BytesIO()
         protocol.write_blocks([rec], buf)
         data = buf.getvalue()
-        with pytest.raises((ValueError, Exception)):
-            protocol.read_blocks(io.BytesIO(data[:3]))
+        # inside the head, inside the event (twice), inside the spot bytes
+        for cut in (3, 8, 10, len(data) - 1):
+            with pytest.raises(ValueError, match="truncated block stream"):
+                protocol.read_blocks(io.BytesIO(data[:cut]))
 
     def test_dataset_roundtrip(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
@@ -462,7 +558,7 @@ class TestThreadIndependence:
 
 
 class TestDenseDetections:
-    """High detection probability exercises the permutation fallbacks."""
+    """High detection probability: many geometric gaps of length 1."""
 
     def test_positions_stay_distinct_when_dense(self):
         d = ConditionalDistribution(np.full((4, 4), 0.25))  # p_det = 0.75
@@ -473,8 +569,27 @@ class TestDenseDetections:
             assert len(set(positions)) == len(positions)
             assert all(1 <= p < rec.length for p in positions)
 
-    def test_vectorized_witness_handles_dense(self):
-        d = ConditionalDistribution(np.full((4, 4), 0.25))
-        table = pef.build_pef_table(d, 0.01, 5, optimize_j_mid=True)
+    def test_vectorized_witness_handles_dense(self, dense_sim):
+        d, table, _ = dense_sim
         w = simulate_run_witness(table, d, 20_000, seed=9)
         assert np.isfinite(w).all()
+
+    @pytest.mark.parametrize("path", ["per-block", "chunk"])
+    def test_detection_law_per_position(self, path):
+        """At each position j the detection rate is p_det, over blocks with L > j."""
+        d = ConditionalDistribution(np.full((4, 4), 0.25))
+        n, n_blocks = 2**3, 20_000
+        if path == "per-block":
+            rng = stream_rng(321)
+            recs = [simulate_block(d, 3, rng) for _ in range(n_blocks)]
+            L = np.array([r.length for r in recs])
+            pos = np.array([p for r in recs for p, _ in r.events], dtype=np.int64)
+        else:
+            L, _, pos, _, _ = protocol._sample_blocks(
+                d.table, 3, n_blocks, stream_rng(322)
+            )
+        hits = np.bincount(pos, minlength=n)
+        for j in range(1, n):
+            at_risk = int((L > j).sum())
+            sd = math.sqrt(at_risk * 0.75 * 0.25)
+            assert abs(hits[j] - 0.75 * at_risk) < 5 * sd, j
