@@ -3,11 +3,11 @@
 Library layers, bottom up:
 
 * :mod:`direx.model` — CHSH trial distributions, the Tsirelson-bounded
-  polytope and its 80 extreme points, maximum-likelihood fitting,
-  statistical strength;
+  polytope and its 80 extreme points (built in closed form),
+  maximum-likelihood fitting, statistical strength;
 * :mod:`direx.pef` — probability estimation factors: optimisation,
-  interpolation across block positions, block rates and variances,
-  min-entropy certificates;
+  one interpolation path across block positions (``PefTable.excess_at``),
+  block rates and variances, min-entropy certificates;
 * :mod:`direx.protocol` — block simulation, witness accumulation,
   randomness accounting and file formats;
 * :mod:`direx.extractor` — seed/output budgets of the strong extractor;
@@ -36,9 +36,7 @@ from direx.pef import (
     block_gain,
     build_pef_table,
     entropy_certificate,
-    interpolate,
     is_valid_pef,
-    lift_to_uniform,
     optimize_trial_pef,
 )
 from direx.planner import (
@@ -57,7 +55,6 @@ from direx.protocol import (
     accumulate,
     consumed_bits,
     expansion_summary,
-    pad_block,
     simulate_block,
 )
 

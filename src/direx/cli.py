@@ -186,32 +186,7 @@ def cmd_plan(args) -> int:
     files = [Path(args.distribution)]
     if args.k_range:
         lo, hi = (int(v) for v in args.k_range.split(":"))
-        rows = []
-        best = None
-        curves: dict[int, planner.GainCurve] = {}
-        for k in range(lo, hi + 1):
-            try:
-                plan = planner.min_blocks(dist, k, args.eps, curve=curves.setdefault(
-                    k, planner.GainCurve(dist, k)))
-                rows.append((k, plan))
-                if best is None or plan.N_t_min < best.N_t_min:
-                    best = plan
-            except planner.InfeasiblePlan:
-                rows.append((k, None))
-        if best is None:
-            raise InputError("no feasible block length in the requested range")
-        best.k_opt = best.k
-        print(f"{'k':>3} {'N_b_min':>14} {'N_t_min':>12} {'beta_opt':>11} {'eps_en_opt':>11}")
-        for k, plan in rows:
-            if plan is None:
-                print(f"{k:>3} {'infeasible':>14}")
-            else:
-                print(
-                    f"{k:>3} {plan.N_b_min:>14,} {plan.N_t_min:>12.4g} "
-                    f"{plan.beta_opt:>11.4g} {plan.eps_en_opt:>11.4g}"
-                )
-        print(f"optimal block length exponent: k = {best.k_opt}")
-        obj = best.to_dict()
+        obj = planner.optimal_block_length(dist, args.eps, range(lo, hi + 1)).to_dict()
     else:
         if args.blocks:
             n_b = args.blocks

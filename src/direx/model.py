@@ -119,14 +119,6 @@ class ConditionalDistribution:
         """Flat 16-vector in settings-major canonical order."""
         return self.table.ravel()
 
-    def alice_marginal(self, a: int, x: int, y: int) -> float:
-        s = pair_index(x, y)
-        return float(sum(self.table[s, pair_index(a, b)] for b in (0, 1)))
-
-    def bob_marginal(self, b: int, x: int, y: int) -> float:
-        s = pair_index(x, y)
-        return float(sum(self.table[s, pair_index(a, b)] for a in (0, 1)))
-
     def correlators(self) -> np.ndarray:
         """E(xy) = sum_ab (-1)^(a+b) p(ab|xy), indexed by settings."""
         signs = np.array([(-1.0) ** (a + b) for a, b in PAIR_ORDER])
@@ -279,10 +271,6 @@ class InputDistribution:
     def prob(self, x: int, y: int) -> float:
         return float(self.probabilities[pair_index(x, y)])
 
-    def cell_weights(self) -> np.ndarray:
-        """nu(z) expanded to the (4, 4) table layout (constant per row)."""
-        return np.repeat(self.probabilities[:, None], 4, axis=1)
-
 
 def input_distribution(j: int, k: int) -> InputDistribution:
     """Input distribution at trial position ``j`` of a block, 1 <= j <= 2^k."""
@@ -354,17 +342,23 @@ class PolytopeVertexSet:
     ``vertices`` has shape (80, 16) in the canonical flat layout and
     canonical (lexicographic) order.  ``deterministic_mask`` flags the 16
     local-deterministic strategies, whose convex hull is the local-realistic
-    polytope.
+    polytope.  ``log_vertices`` holds ``log(mu)`` per cell, with 0 where
+    ``mu = 0`` (so that ``mu^(1+beta) = mu * exp(beta * log_vertices)``).
     """
 
     vertices: np.ndarray
     deterministic_mask: np.ndarray
+    log_vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _freeze(self.vertices))
+        V = _freeze(self.vertices)
+        object.__setattr__(self, "vertices", V)
         m = np.asarray(self.deterministic_mask, dtype=bool).copy()
         m.setflags(write=False)
         object.__setattr__(self, "deterministic_mask", m)
+        with np.errstate(divide="ignore"):
+            log_v = np.where(V > 0, np.log(np.where(V > 0, V, 1.0)), 0.0)
+        object.__setattr__(self, "log_vertices", _freeze(log_v))
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -467,14 +461,9 @@ def is_member_T(d: ConditionalDistribution, tol: float = MEMBERSHIP_TOL) -> bool
     t = d.table
     if (t < -tol).any():
         return False
-    for a in (0, 1):
-        for x in (0, 1):
-            if abs(d.alice_marginal(a, x, 0) - d.alice_marginal(a, x, 1)) > tol:
-                return False
-    for b in (0, 1):
-        for y in (0, 1):
-            if abs(d.bob_marginal(b, 0, y) - d.bob_marginal(b, 1, y)) > tol:
-                return False
+    E, f = _equality_system()
+    if (np.abs(E @ t.ravel() - f) > tol).any():
+        return False
     return bool(d.chsh_values().max() <= TSIRELSON_BOUND + tol)
 
 

@@ -13,11 +13,14 @@ probability the block reaches them.  At the powers used in practice
 table, so this module tracks PEFs in deviation form ``F = 1 + beta * y``
 wherever precision matters.
 
-Per-position PEFs for a whole block are built from three optimised anchor
-positions by piecewise-linear interpolation in the spot-check probability
-``q``, after rescaling each anchor by ``4 nu_q(z)`` (which maps any
-fixed-input PEF to a valid uniform-input PEF, and convex combinations of
-those are again valid).
+Per-position PEFs for a whole block come from three optimised anchors at
+positions ``1 < j_mid < 2^k``; :meth:`PefTable.excess_at` is the one path
+that interpolates between them.  Multiplying a PEF for ``nu_q`` by
+``4 nu_q(z)`` gives a PEF valid for uniform inputs, and convex combinations
+of those are again valid, so the lifted anchors are interpolated linearly in
+the spot-check probability ``q`` and divided by the position's own
+``4 nu_q(z)``; the weights ``nu_q(z)`` come from :func:`_cell_input_weights`
+alone.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
     "pef_constraints",
     "is_valid_pef",
     "optimize_trial_pef",
-    "lift_to_uniform",
-    "interpolate",
     "block_gain",
     "entropy_certificate",
     "build_pef_table",
@@ -62,25 +63,17 @@ class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
 
 
-def _cell_input_weights(q: float) -> np.ndarray:
-    """nu_q(z) per cell as a flat 16-vector (settings-major layout)."""
-    out = np.empty(16)
-    out[:4] = 1.0 - 0.75 * q
-    out[4:] = q / 4.0
+def _cell_input_weights(q) -> np.ndarray:
+    """nu_q(z) per flat cell (settings-major), shape ``(..., 16)`` for ``q``.
+
+    ``q`` may be a scalar or an array; this is the only place the input
+    weights are built.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    out = np.empty(q.shape + (16,))
+    out[..., :4] = (1.0 - 0.75 * q)[..., None]
+    out[..., 4:] = (q / 4.0)[..., None]
     return out
-
-
-_LOG_V: np.ndarray | None = None
-
-
-def _log_vertices(vertices: PolytopeVertexSet) -> np.ndarray:
-    """log(mu) per vertex cell with zeros left at 0 (0^(1+beta) = 0)."""
-    global _LOG_V
-    if _LOG_V is None or _LOG_V.shape[0] != len(vertices):
-        V = vertices.vertices
-        with np.errstate(divide="ignore"):
-            _LOG_V = np.where(V > 0, np.log(np.where(V > 0, V, 1.0)), 0.0)
-    return _LOG_V
 
 
 def pef_constraints(
@@ -97,8 +90,7 @@ def pef_constraints(
         vertices = enumerate_extreme_points()
     V = vertices.vertices
     nu = _cell_input_weights(q)
-    e1 = np.expm1(beta * _log_vertices(vertices))
-    e1[V == 0.0] = 0.0
+    e1 = np.expm1(beta * vertices.log_vertices)  # 0 where mu = 0
     A = nu[None, :] * V * (1.0 + e1)
     # sum_i nu*mu = 1 per vertex, so 1 - sum(A) = -sum(nu*mu*e1) term by term
     rho = -np.einsum("i,vi,vi->v", nu, V, e1) / beta
@@ -109,17 +101,15 @@ def pef_constraints(
 class TrialPef:
     """PEF table for one trial position.
 
-    ``f`` holds the (4, 4) values ``F(ab|xy)`` in the standard layout.  For
-    unit-scale PEFs the deviation table ``excess = (F - 1)/beta`` carries the
-    full working precision; ``scale`` is non-None only for lifted
-    (uniform-model) PEFs, where ``F = scale * (1 + beta*excess)``.
+    ``f`` holds the (4, 4) values ``F(ab|xy)`` in the standard layout.  When
+    present, the deviation table ``excess = (F - 1)/beta`` carries the full
+    working precision.
     """
 
     f: np.ndarray
     beta: float
     position_q: float
     excess: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     def __post_init__(self):
         f = np.ascontiguousarray(self.f, dtype=np.float64)
@@ -131,31 +121,19 @@ class TrialPef:
             raise ValueError("the power beta must be positive")
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
-        for name in ("excess", "scale"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.ascontiguousarray(v, dtype=np.float64)
-                v.setflags(write=False)
-                object.__setattr__(self, name, v)
+        if self.excess is not None:
+            y = np.ascontiguousarray(self.excess, dtype=np.float64)
+            y.setflags(write=False)
+            object.__setattr__(self, "excess", y)
 
     @classmethod
     def constant_one(cls, beta: float, q: float) -> "TrialPef":
         return cls.from_excess(np.zeros((4, 4)), beta, q)
 
     @classmethod
-    def from_excess(
-        cls, excess: np.ndarray, beta: float, q: float, scale: np.ndarray | None = None
-    ) -> "TrialPef":
+    def from_excess(cls, excess: np.ndarray, beta: float, q: float) -> "TrialPef":
         excess = np.asarray(excess, dtype=np.float64)
-        base = 1.0 + beta * excess
-        f = base if scale is None else scale * base
-        return cls(f=f, beta=beta, position_q=q, excess=excess, scale=scale)
-
-    def log2_values(self) -> np.ndarray:
-        """log2 F per cell, from the deviation table when available."""
-        if self.excess is not None and self.scale is None:
-            return np.log1p(self.beta * self.excess) / _LN2
-        return np.log2(np.clip(self.f, 1e-300, None))
+        return cls(f=1.0 + beta * excess, beta=beta, position_q=q, excess=excess)
 
     def flat_outcome_major(self) -> np.ndarray:
         """Flat 16-vector ordered by (ab, xy), outcomes major."""
@@ -175,7 +153,7 @@ def is_valid_pef(
     if (f.f < -tol).any():
         return False
     A, rho = pef_constraints(qv, f.beta, vertices)
-    if f.excess is not None and f.scale is None:
+    if f.excess is not None:
         # constraint in deviation form avoids the 1 +/- 1e-6 cancellation
         return bool((A @ f.excess.ravel() <= rho + tol / f.beta).all())
     lhs = A @ f.f.ravel()
@@ -224,65 +202,6 @@ def optimize_trial_pef(
     return pef, sol.gain_bits
 
 
-def lift_to_uniform(f: TrialPef, q: InputDistribution | float) -> TrialPef:
-    """Rescale a PEF for ``nu_q`` into one valid for uniform inputs.
-
-    The lifted table is ``4 nu_q(z) F(cz)``; the stored scale keeps the
-    round trip ``unlift(lift(f)) == f`` exact to floating rounding.
-    """
-    qv = q.q if isinstance(q, InputDistribution) else float(q)
-    scale = _cell_input_weights(qv).reshape(4, 4) * 4.0
-    if f.excess is not None and f.scale is None:
-        return TrialPef.from_excess(f.excess, f.beta, 1.0, scale=scale)
-    return TrialPef(f=scale * f.f, beta=f.beta, position_q=1.0, scale=scale)
-
-
-def interpolate(
-    anchors: tuple[TrialPef, TrialPef, TrialPef],
-    j: int,
-    k: int,
-) -> TrialPef:
-    """PEF for position ``j`` from three lifted anchors.
-
-    ``anchors`` are lifted (uniform-model) PEFs, as produced by
-    :func:`lift_to_uniform`, built at increasing spot probabilities
-    ``q1 < q_mid < q_max`` (positions 1, j_mid, 2^k).  The lifted table at
-    ``q_j`` is the linear interpolant on the enclosing segment, a convex
-    combination of valid uniform-model PEFs and hence valid; dividing by
-    ``4 nu_{q_j}(z)`` returns a PEF for position ``j``.
-    """
-    f1, fm, fk = anchors
-    if not 1 <= j <= 2**k:
-        raise ValueError(f"position j={j} outside 1..2^{k}")
-    if any(a.scale is None for a in anchors):
-        raise ValueError("interpolation anchors must be lifted PEFs")
-    q_j = input_distribution(j, k).q
-    qs = [_scale_q(a) for a in anchors]
-    q1, qm, qk = qs
-    if not q1 < qm < qk:
-        raise ValueError(f"anchor spot probabilities must increase, got {qs}")
-    if q_j <= qm:
-        lo, hi, qlo, qhi = f1, fm, q1, qm
-    else:
-        lo, hi, qlo, qhi = fm, fk, qm, qk
-    lam = (qhi - q_j) / (qhi - qlo)
-
-    if lo.excess is not None and hi.excess is not None:
-        # scales are linear in q, so the combined scale is exactly the
-        # position scale and the quotient stays in deviation form
-        s_j = lam * lo.scale + (1.0 - lam) * hi.scale
-        y_j = (lam * lo.scale * lo.excess + (1.0 - lam) * hi.scale * hi.excess) / s_j
-        return TrialPef.from_excess(y_j, lo.beta, q_j)
-    lifted = lam * lo.f + (1.0 - lam) * hi.f
-    scale = _cell_input_weights(q_j).reshape(4, 4) * 4.0
-    return TrialPef(f=lifted / scale, beta=lo.beta, position_q=q_j)
-
-
-def _scale_q(a: TrialPef) -> float:
-    """Recover the spot probability a lifted anchor was built from."""
-    return float(a.scale[1, 0])  # rows z != 00 carry scale q
-
-
 # ---------------------------------------------------------------------------
 # per-block tables
 # ---------------------------------------------------------------------------
@@ -292,10 +211,9 @@ def _scale_q(a: TrialPef) -> float:
 class PefTable:
     """Per-position PEF family for blocks of up to ``2^k`` trials.
 
-    Holds the three optimised anchors (unit scale, with deviations) and
-    produces the interpolated PEF for any position.  The heavy consumers
-    (gain, variance, witness accumulation) use the vectorised
-    :meth:`log2_f` / :meth:`excess_at` paths.
+    Holds the three optimised anchors (with deviations) at positions 1,
+    ``j_mid`` and ``2^k``; :meth:`excess_at` and :meth:`log2_f` give the
+    interpolated PEF at any positions.
     """
 
     k: int
@@ -306,57 +224,33 @@ class PefTable:
     def __post_init__(self):
         if not 1 < self.j_mid < 2**self.k:
             raise ValueError(f"j_mid={self.j_mid} outside 2..2^{self.k}-1")
-        for a in self.anchors:
-            if a.excess is None or a.scale is not None:
-                raise ValueError("anchors must be unit-scale PEFs with deviations")
+        if any(a.excess is None for a in self.anchors):
+            raise ValueError("anchors must be PEFs with deviation tables")
 
     @property
     def n_positions(self) -> int:
         return 2**self.k
 
-    def f_at(self, j: int) -> TrialPef:
-        """Interpolated PEF for position ``j`` (anchors returned exactly)."""
-        if j == 1:
-            return self.anchors[0]
-        if j == self.j_mid:
-            return self.anchors[1]
-        if j == self.n_positions:
-            return self.anchors[2]
-        lifted = tuple(
-            lift_to_uniform(a, a.position_q) for a in self.anchors
-        )
-        return interpolate(lifted, j, self.k)
-
     def excess_at(self, positions: np.ndarray) -> np.ndarray:
         """Deviation tables ``(F - 1)/beta`` for many positions at once.
 
-        Returns an ``(n, 16)`` array over flat cells.  Equivalent to the
-        lift/interpolate/unlift chain of :meth:`f_at`, written directly in
-        deviation coordinates: scales are linear in ``q``, so the lifted
-        interpolant divided by the position scale is
-        ``1 + beta * (lam*s'*y' + (1-lam)*s''*y'') / s_j``.
+        Returns an ``(n, 16)`` array over flat cells.  With the lift
+        ``s(q) = 4 nu_q(z)`` and anchors ``(q', y')``, ``(q'', y'')`` enclosing
+        ``q_j``, the lifted interpolant ``lam s'(1 + beta y') + (1 - lam)
+        s''(1 + beta y'')`` divided by ``s(q_j)`` is ``1 + beta * (lam s' y' +
+        (1 - lam) s'' y'') / s(q_j)``, because ``s`` is linear in ``q``.
         """
         j = np.asarray(positions, dtype=np.int64)
         if ((j < 1) | (j > self.n_positions)).any():
             raise ValueError("positions outside 1..2^k")
         q = 1.0 / (self.n_positions - j + 1.0)
-        a1, am, ak = self.anchors
-        q1, qm, qk = a1.position_q, am.position_q, ak.position_q
-        s1 = _cell_input_weights(q1) * 4.0
-        sm = _cell_input_weights(qm) * 4.0
-        sk = _cell_input_weights(qk) * 4.0
-        y1 = a1.excess.ravel()
-        ym = am.excess.ravel()
-        yk = ak.excess.ravel()
-        sq = np.empty((j.size, 16))
-        sq[:, :4] = (4.0 * (1.0 - 0.75 * q))[:, None]
-        sq[:, 4:] = q[:, None]
+        qa = np.array([a.position_q for a in self.anchors])
+        sy = _cell_input_weights(qa) * 4.0 * np.array([a.excess.ravel() for a in self.anchors])
+        sq = _cell_input_weights(q) * 4.0
         out = np.empty((j.size, 16))
-        seg = q <= qm
-        lam = ((qm - q[seg]) / (qm - q1))[:, None]
-        out[seg] = (lam * (s1 * y1)[None, :] + (1 - lam) * (sm * ym)[None, :]) / sq[seg]
-        lam = ((qk - q[~seg]) / (qk - qm))[:, None]
-        out[~seg] = (lam * (sm * ym)[None, :] + (1 - lam) * (sk * yk)[None, :]) / sq[~seg]
+        for seg, lo in ((q <= qa[1], 0), (q > qa[1], 1)):
+            lam = ((qa[lo + 1] - q[seg]) / (qa[lo + 1] - qa[lo]))[:, None]
+            out[seg] = (lam * sy[lo] + (1 - lam) * sy[lo + 1]) / sq[seg]
         return out
 
     def log2_f(self, positions: np.ndarray) -> np.ndarray:
@@ -442,10 +336,7 @@ def block_gain(
     j = np.arange(1, n + 1, dtype=np.float64)
     q = 1.0 / (n - j + 1.0)
     log2f = table.log2_f(np.arange(1, n + 1))
-    nu_cells = np.empty((n, 16))
-    nu_cells[:, :4] = (1.0 - 0.75 * q)[:, None]
-    nu_cells[:, 4:] = (q / 4.0)[:, None]
-    w = nu_cells * nu_h.table.ravel()[None, :]
+    w = _cell_input_weights(q) * nu_h.table.ravel()[None, :]
     omega = (n - j + 1.0) / n
 
     m_j = np.einsum("ji,ji->j", w, log2f)
@@ -512,10 +403,7 @@ def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
     pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
     log2f = table.log2_f(pos)
     q = 1.0 / (n - pos + 1.0)
-    nu_cells = np.empty((pos.size, 16))
-    nu_cells[:, :4] = (1.0 - 0.75 * q)[:, None]
-    nu_cells[:, 4:] = (q / 4.0)[:, None]
-    w = nu_cells * nu_h.table.ravel()[None, :]
+    w = _cell_input_weights(q) * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
     omega = (n - pos + 1.0) / n
     return float(np.trapezoid(omega * m_j, pos) / table.beta)

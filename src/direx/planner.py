@@ -26,6 +26,7 @@ import numpy as np
 from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
 from direx.model import ConditionalDistribution, is_member_T
 from direx.pef import block_gain, build_pef_table
+from direx.protocol import consumed_bits, experiment_output_length
 
 __all__ = [
     "PlanResult",
@@ -149,7 +150,7 @@ def _sigma_net_at(
     eps_ext = eps - eps_en
     if eps_ext <= 0 or sigma_in <= 1:
         return -math.inf, None
-    m_in = N_b * 2**k * 2
+    m_in = experiment_output_length(N_b, k)
     try:
         k_out = max_kout(sigma_in, eps_ext)
         d_s, w = seed_length(m_in, k_out, eps_ext)
@@ -157,7 +158,7 @@ def _sigma_net_at(
         return -math.inf, None
     if sigma_in > m_in:
         return -math.inf, None
-    sigma_net = k_out - d_s - N_b * (k + 2)
+    sigma_net = k_out - d_s - consumed_bits(N_b, k)
     detail = {
         "sigma_in": sigma_in,
         "g_b": g_b,

@@ -39,7 +39,6 @@ __all__ = [
     "AccumulatorState",
     "ExpansionFile",
     "CycleData",
-    "PaddedBlock",
     "ExpansionReport",
     "CalibrationShortfallError",
     "ProtocolFailure",
@@ -50,7 +49,6 @@ __all__ = [
     "simulate_run_witness",
     "accumulate",
     "consumed_bits",
-    "pad_block",
     "expansion_summary",
     "write_blocks",
     "read_blocks",
@@ -189,34 +187,12 @@ def consumed_bits(N_run: int, k: int) -> int:
     return N_run * (k + BITS_PER_SPOT_CHECK)
 
 
-@dataclass(frozen=True)
-class PaddedBlock:
-    """Fixed-length output descriptor: the record plus lazy zero fill."""
-
-    record: BlockRecord
-    zero_fill_bits: int
-    total_bits: int
-
-
-def pad_block(record: BlockRecord, k: int) -> PaddedBlock:
-    """Zero-padding descriptor taking a block to its fixed output length.
-
-    Every real trial contributes 2 outcome bits; the padded length is
-    ``2 * 2^k`` bits per block, so the experiment output is
-    ``m_in = N_b * 2^k * 2`` bits regardless of realised block lengths.
-    """
-    if record.length > 2**k:
-        raise ValueError(f"block of length {record.length} exceeds 2^{k}")
-    total = 2 * 2**k
-    return PaddedBlock(
-        record=record,
-        zero_fill_bits=2 * (2**k - record.length),
-        total_bits=total,
-    )
-
-
 def experiment_output_length(N_b: int, k: int) -> int:
-    """Padded output length m_in of a full run, in bits."""
+    """Padded output length m_in of a full run, in bits.
+
+    Every block is zero-padded to ``2^k`` trials of 2 outcome bits, so the
+    output has ``N_b * 2^k * 2`` bits whatever the realised block lengths.
+    """
     return N_b * 2**k * 2
 
 

@@ -195,6 +195,7 @@ def test_criterion_7_expansion_accounting():
     assert ok_ratios
 
 
+@pytest.mark.slow
 def test_criterion_8_planner_table(design):
     t0 = time.perf_counter()
     nu = design["distribution"]
@@ -299,7 +300,8 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
     for i in range(n_interp):
         t = tables[i % len(tables)]
         j = int(rng.integers(1, t.n_positions + 1))
-        tp = t.f_at(j)
+        y = t.excess_at(np.array([j]))[0].reshape(4, 4)
+        tp = pef.TrialPef.from_excess(y, t.beta, model.input_distribution(j, t.k).q)
         assert pef.is_valid_pef(tp, tp.position_q, vertices), (t.k, j)
 
     # (b) the constant table is a PEF for every model and power

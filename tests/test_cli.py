@@ -230,6 +230,25 @@ class TestPlan:
         assert obj["feasible"] is True
         assert obj["sigma_net"] > 0
 
+    def test_plan_k_range_prints_only_json(self, workdir, capsys, monkeypatch):
+        calls = []
+
+        def fake(nu_h, eps, k_range, curves=None):
+            calls.append((eps, k_range))
+            return planner.PlanResult(
+                feasible=True, k=4, eps=eps, beta_opt=1e-3, N_b_min=1000,
+                N_t_min=8500.0, k_opt=4,
+            )
+
+        monkeypatch.setattr(planner, "optimal_block_length", fake)
+        code, out = run(
+            capsys, "plan", workdir / "dist.json", "--eps", "1e-3", "--k-range", "3:4"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["k_opt"] == 4
+        assert calls == [(1e-3, range(3, 5))]
+
     def test_plan_requires_budget_or_blocks(self, workdir, capsys):
         code, _ = run(capsys, "plan", workdir / "dist.json", "--eps", "1e-3")
         assert code == cli.EXIT_INPUT_ERROR

@@ -84,6 +84,12 @@ class TestMembership:
     def test_commissioning_fit_is_member(self, commissioning):
         assert is_member_T(commissioning["distribution"])
 
+    @pytest.mark.parametrize("shift,member", [(2e-9, False), (5e-10, True)])
+    def test_signaling_at_the_tolerance(self, shift, member):
+        t = np.full((4, 4), 0.25)
+        t[0, :2] += (shift, -shift)  # Alice's a=0 marginal at x=0 now depends on y
+        assert is_member_T(ConditionalDistribution(t)) is member
+
     def test_signaling_table_rejected(self):
         t = np.full((4, 4), 0.25)
         t[0] = [0.4, 0.1, 0.4, 0.1]  # Alice marginal now depends on y

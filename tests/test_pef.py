@@ -1,4 +1,4 @@
-"""PEF validity, optimisation, interpolation and certificate tests.
+"""PEF constraints, validity, optimisation, interpolation and certificate tests.
 
 Oracles used here are independent of the optimised code paths: validity is
 always the raw inequality at all 80 extreme points; toy-model optima are
@@ -21,6 +21,20 @@ from direx.model import ConditionalDistribution, InputDistribution, input_distri
 from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
 
 LN2 = math.log(2.0)
+
+
+class TestConstraints:
+    def test_vertex_order_follows_the_vertex_set(self, vertices):
+        q, beta = 0.013, 4.7e-8
+        A, rho = pef.pef_constraints(q, beta, vertices)
+        perm = np.random.default_rng(3).permutation(len(vertices))
+        shuffled = model.PolytopeVertexSet(
+            vertices=vertices.vertices[perm],
+            deterministic_mask=vertices.deterministic_mask[perm],
+        )
+        A_p, rho_p = pef.pef_constraints(q, beta, shuffled)
+        np.testing.assert_array_equal(A_p, A[perm])
+        np.testing.assert_allclose(rho_p, rho[perm], rtol=1e-15, atol=0)
 
 
 class TestValidity:
@@ -111,70 +125,83 @@ class TestOptimizer:
             assert g1 == pytest.approx(g0, rel=5e-3)
 
 
+def _pef_at(table: pef.PefTable, j: int) -> pef.TrialPef:
+    """The interpolated PEF at position ``j``, from ``excess_at``."""
+    y = table.excess_at(np.array([j]))[0].reshape(4, 4)
+    return pef.TrialPef.from_excess(y, table.beta, input_distribution(j, table.k).q)
+
+
+def _lifted(tp: pef.TrialPef) -> np.ndarray:
+    """The uniform-input table ``4 nu_q(z) F(cz)`` of a PEF built for ``nu_q``."""
+    return 4.0 * pef._cell_input_weights(tp.position_q).reshape(4, 4) * tp.f
+
+
 class TestLift:
     def test_uniform_q_is_identity(self, vertices, commissioning):
         tp, _ = pef.optimize_trial_pef(
             commissioning["distribution"], InputDistribution(1.0), 0.01, vertices
         )
-        lifted = pef.lift_to_uniform(tp, 1.0)
-        np.testing.assert_array_equal(lifted.f, tp.f)
+        np.testing.assert_array_equal(_lifted(tp), tp.f)
 
     def test_constant_lift_valid_for_uniform(self, vertices):
         q = 0.37
-        f = pef.TrialPef.constant_one(0.01, q)
-        lifted = pef.lift_to_uniform(f, q)
+        lifted = _lifted(pef.TrialPef.constant_one(0.01, q))
         expected = 4.0 * pef._cell_input_weights(q).reshape(4, 4)
-        np.testing.assert_allclose(lifted.f, expected, rtol=1e-15)
-        assert pef.is_valid_pef(lifted, 1.0, vertices)
-
-    def test_lift_unlift_roundtrip(self, production_table):
-        a = production_table.anchors[0]
-        lifted = pef.lift_to_uniform(a, a.position_q)
-        back = lifted.f / (4.0 * pef._cell_input_weights(a.position_q).reshape(4, 4))
-        np.testing.assert_allclose(back, a.f, rtol=1e-15)
+        np.testing.assert_allclose(lifted, expected, rtol=1e-15)
+        assert pef.is_valid_pef(
+            pef.TrialPef(f=lifted, beta=0.01, position_q=1.0), 1.0, vertices
+        )
 
 
 class TestInterpolation:
     def test_anchor_positions_return_anchors(self, production_table):
         t = production_table
-        for j, anchor in zip((1, t.j_mid, 2**t.k), t.anchors):
-            np.testing.assert_array_equal(t.f_at(j).f, anchor.f)
+        got = t.excess_at(np.array([1, t.j_mid, 2**t.k]))
+        for row, anchor in zip(got, t.anchors):
+            np.testing.assert_allclose(row.reshape(4, 4), anchor.excess, rtol=1e-15)
 
     def test_interpolated_positions_are_valid(self, vertices, production_table):
         rng = np.random.default_rng(5)
         for j in rng.integers(2, 2**PAPER_K, size=12):
-            tp = production_table.f_at(int(j))
+            tp = _pef_at(production_table, int(j))
             assert pef.is_valid_pef(tp, tp.position_q, vertices)
 
     def test_lifted_entries_between_anchor_entries(self, production_table):
         t = production_table
-        lifted = [pef.lift_to_uniform(a, a.position_q) for a in t.anchors]
+        lifted = [_lifted(a) for a in t.anchors]
         rng = np.random.default_rng(6)
         for j in rng.integers(2, t.j_mid, size=6):
-            tp = t.f_at(int(j))
-            lif = pef.lift_to_uniform(tp, tp.position_q)
-            lo = np.minimum(lifted[0].f, lifted[1].f) - 1e-12
-            hi = np.maximum(lifted[0].f, lifted[1].f) + 1e-12
-            assert (lif.f >= lo).all() and (lif.f <= hi).all()
+            lif = _lifted(_pef_at(t, int(j)))
+            lo = np.minimum(lifted[0], lifted[1]) - 1e-12
+            hi = np.maximum(lifted[0], lifted[1]) + 1e-12
+            assert (lif >= lo).all() and (lif <= hi).all()
 
-    def test_excess_at_matches_f_at(self, production_table):
+    def test_excess_at_matches_scalar_interpolant(self, production_table):
+        """Against the lifted interpolant with the scale mixed from the anchors.
+
+        ``excess_at`` divides by the position's own ``4 nu_q``; mixing the
+        anchors' scales instead gives the same table because the scale is
+        linear in ``q``.
+        """
+        t = production_table
+        qs = [a.position_q for a in t.anchors]
+        scales = [4.0 * pef._cell_input_weights(q).reshape(4, 4) for q in qs]
         js = np.array([2, 77, 9999, 53_477, 100_000])
-        batch = production_table.excess_at(js)
-        for row, j in zip(batch, js):
-            single = production_table.f_at(int(j))
-            np.testing.assert_allclose(
-                row.reshape(4, 4), single.excess, rtol=1e-11, atol=1e-13
+        for row, j in zip(t.excess_at(js), js):
+            q = input_distribution(int(j), t.k).q
+            i = 0 if q <= qs[1] else 1
+            lam = (qs[i + 1] - q) / (qs[i + 1] - qs[i])
+            s_lo, s_hi = scales[i], scales[i + 1]
+            y_lo, y_hi = t.anchors[i].excess, t.anchors[i + 1].excess
+            want = (lam * s_lo * y_lo + (1 - lam) * s_hi * y_hi) / (
+                lam * s_lo + (1 - lam) * s_hi
             )
+            np.testing.assert_allclose(row.reshape(4, 4), want, rtol=1e-11, atol=1e-13)
 
     def test_out_of_range_position(self, production_table):
-        with pytest.raises(ValueError):
-            production_table.f_at(0)
-        with pytest.raises(ValueError):
-            production_table.excess_at(np.array([2**17 + 1]))
-
-    def test_interpolate_rejects_unlifted_anchors(self, production_table):
-        with pytest.raises(ValueError):
-            pef.interpolate(production_table.anchors, 10, PAPER_K)
+        for j in (0, 2**17 + 1):
+            with pytest.raises(ValueError):
+                production_table.excess_at(np.array([j]))
 
 
 def _exact_block_moments(table: pef.PefTable, nu_h: ConditionalDistribution):

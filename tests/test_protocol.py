@@ -25,7 +25,6 @@ from direx.protocol import (
     accumulate,
     consumed_bits,
     expansion_summary,
-    pad_block,
     simulate_block,
     simulate_calibration_counts,
     simulate_dataset,
@@ -140,14 +139,6 @@ class TestAccounting:
     @settings(max_examples=50, deadline=None)
     def test_consumed_bits_formula(self, n, k):
         assert consumed_bits(n, k) == n * (k + 2)
-
-    def test_pad_block_lengths(self):
-        rec = BlockRecord(length=1, events=(), spot_settings=0, spot_outcome=0)
-        padded = pad_block(rec, 6)
-        assert padded.zero_fill_bits == 2 * (2**6 - 1)
-        assert padded.total_bits == 2 * 2**6
-        full = BlockRecord(length=2**6, events=(), spot_settings=1, spot_outcome=2)
-        assert pad_block(full, 6).zero_fill_bits == 0
 
     def test_experiment_output_length_production(self):
         assert protocol.experiment_output_length(56_070_910, 17) == 14_698_652_631_040
