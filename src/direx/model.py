@@ -6,7 +6,7 @@ summarised by the settings-conditional outcome distribution ``p(ab|xy)``, a
 table of 16 probabilities.  The admissible set is the convex polytope of
 tables that are non-signaling and respect Tsirelson's bounds on all eight
 CHSH combinations; it has exactly 80 extreme points, 16 of which are the
-local-deterministic strategies.
+local-deterministic strategies, and they are built in closed form.
 
 Canonical layout used throughout the package:
 
@@ -23,7 +23,6 @@ import io
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "CountsTable",
     "InputDistribution",
     "PolytopeVertexSet",
-    "PolytopeError",
     "MleConvergenceError",
     "enumerate_extreme_points",
     "is_member_T",
@@ -58,10 +56,6 @@ _LN2 = math.log(2.0)
 def pair_index(first: int, second: int) -> int:
     """Index of a binary pair in the canonical 00, 10, 01, 11 order."""
     return first + 2 * second
-
-
-class PolytopeError(RuntimeError):
-    """Raised when vertex enumeration contradicts the expected geometry."""
 
 
 class MleConvergenceError(RuntimeError):
@@ -324,17 +318,6 @@ def _equality_system() -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(rhs)
 
 
-def _chsh_rows_flat() -> np.ndarray:
-    """CHSH functionals as rows acting on the flat 16-vector."""
-    signs = _chsh_sign_matrix()
-    out = np.zeros((8, 16))
-    parity = np.array([(-1.0) ** (a + b) for a, b in PAIR_ORDER])
-    for r in range(8):
-        for s in range(4):
-            out[r, 4 * s : 4 * s + 4] = signs[r, s] * parity
-    return out
-
-
 @dataclass(frozen=True)
 class PolytopeVertexSet:
     """Extreme points of the non-signaling, Tsirelson-bounded polytope.
@@ -372,88 +355,39 @@ class PolytopeVertexSet:
         return [ConditionalDistribution(v.reshape(4, 4)) for v in self.vertices]
 
 
-_VERTEX_CACHE: PolytopeVertexSet | None = None
-_VERTEX_LOCK = threading.Lock()
+def _closed_form_vertices() -> PolytopeVertexSet:
+    """The 80 extreme points in closed form (Barrett et al., quant-ph/0404097).
 
-
-def _enumerate_vertices() -> PolytopeVertexSet:
-    """Brute-force vertex enumeration of the half-space description.
-
-    The equalities define an 8-dimensional affine hull; every basic solution
-    of 8 of the 24 remaining inequalities (positivity and CHSH) is tested for
-    feasibility.  Entries indistinguishable from 0 or 1 are snapped before
-    rows are renormalised, so deterministic vertices come out exact.
+    The 16 local-deterministic tables ``a = a_x``, ``b = b_y``; and for each
+    of the 8 PR boxes ``a xor b = xy xor alpha x xor beta y xor gamma`` and
+    each of the 8 deterministic tables that obey its relation at three of
+    the four settings, ``(sqrt2 - 1) PR + (2 - sqrt2) LD``, which takes the
+    box's CHSH form to Tsirelson's bound.
     """
-    E, f = _equality_system()
-    chsh = _chsh_rows_flat()
+    x, y = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])  # settings s = x + 2y
+    strategies = np.array(list(itertools.product((0, 1), repeat=4)))  # a0 a1 b0 b1
+    a, b = strategies[:, x], strategies[:, 2 + y]  # outputs per setting, (16, 4)
+    ld = np.zeros((16, 4, 4))
+    ld[np.arange(16)[:, None], np.arange(4), a + 2 * b] = 1.0
+    triples = np.array(list(itertools.product((0, 1), repeat=3)))[:, :, None]
+    rel = (x * y) ^ (triples[:, 0] * x) ^ (triples[:, 1] * y) ^ triples[:, 2]  # (8, 4)
+    pr = np.zeros((8, 4, 4))
+    for out_a in (0, 1):
+        pr[np.arange(8)[:, None], np.arange(4), out_a + 2 * (out_a ^ rel)] = 0.5
+    box, det = np.nonzero(((a ^ b)[None] == rel[:, None]).sum(axis=2) == 3)
+    mixed = (math.sqrt(2.0) - 1.0) * pr[box] + (2.0 - math.sqrt(2.0)) * ld[det]
+    X = np.vstack([ld.reshape(16, 16), mixed.reshape(-1, 16)])
+    X = X[np.lexsort(np.round(X, 12).T[::-1])]
+    deterministic = ((X == 0.0) | (X == 1.0)).all(axis=1)
+    return PolytopeVertexSet(vertices=X, deterministic_mask=deterministic)
 
-    x0 = np.full(16, 0.25)  # uniform table, center of the polytope
-    _, sv, vt = np.linalg.svd(E)
-    rank = int((sv > 1e-10).sum())
-    null = vt[rank:].T  # (16, 8)
-    dim = null.shape[1]
-    if dim != 8:
-        raise PolytopeError(f"affine hull has dimension {dim}, expected 8")
 
-    G = np.vstack([-null, chsh @ null])
-    h = np.concatenate([x0, TSIRELSON_BOUND - chsh @ x0])
-    norms = np.linalg.norm(G, axis=1)
-    G /= norms[:, None]
-    h /= norms
-
-    n_ineq = G.shape[0]
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_ineq), dim)),
-        dtype=np.int64,
-    ).reshape(-1, dim)
-
-    points = []
-    chunk = 65536
-    for start in range(0, combos.shape[0], chunk):
-        idx = combos[start : start + chunk]
-        A = G[idx]
-        dets = np.abs(np.linalg.det(A))
-        ok = dets > 1e-9
-        if not ok.any():
-            continue
-        sols = np.linalg.solve(A[ok], h[idx][ok][..., None])[..., 0]
-        feasible = (sols @ G.T <= h + 1e-9).all(axis=1)
-        if feasible.any():
-            points.append(sols[feasible])
-    if not points:
-        raise PolytopeError("vertex enumeration found no feasible basic solutions")
-
-    X = np.vstack(points) @ null.T + x0
-    X[np.abs(X) < 1e-9] = 0.0
-    X[np.abs(X - 1.0) < 1e-9] = 1.0
-    X /= X.reshape(-1, 4, 4).sum(axis=2).repeat(4, axis=1)
-
-    uniq, first = np.unique(np.round(X, 9), axis=0, return_index=True)
-    X = X[np.sort(first)]
-    order = np.lexsort(np.round(X, 12).T[::-1])
-    X = X[order]
-
-    if X.shape[0] != 80:
-        raise PolytopeError(
-            f"vertex enumeration produced {X.shape[0]} extreme points, "
-            "expected 80; the half-space description needs review"
-        )
-    det_mask = np.array([bool(np.all((v == 0.0) | (v == 1.0))) for v in X])
-    if det_mask.sum() != 16:
-        raise PolytopeError(
-            f"expected 16 deterministic vertices, found {det_mask.sum()}"
-        )
-    return PolytopeVertexSet(vertices=X, deterministic_mask=det_mask)
+_VERTICES = _closed_form_vertices()
 
 
 def enumerate_extreme_points() -> PolytopeVertexSet:
-    """Vertex set of the trial polytope, enumerated once per process."""
-    global _VERTEX_CACHE
-    if _VERTEX_CACHE is None:
-        with _VERTEX_LOCK:
-            if _VERTEX_CACHE is None:
-                _VERTEX_CACHE = _enumerate_vertices()
-    return _VERTEX_CACHE
+    """Vertex set of the trial polytope (built once, at import)."""
+    return _VERTICES
 
 
 def is_member_T(d: ConditionalDistribution, tol: float = MEMBERSHIP_TOL) -> bool:

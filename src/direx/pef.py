@@ -245,7 +245,8 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         q = 1.0 / (self.n_positions - j + 1.0)
         qa = np.array([a.position_q for a in self.anchors])
-        sy = _cell_input_weights(qa) * 4.0 * np.array([a.excess.ravel() for a in self.anchors])
+        ya = np.array([a.excess.ravel() for a in self.anchors])
+        sy = _cell_input_weights(qa) * 4.0 * ya
         sq = _cell_input_weights(q) * 4.0
         out = np.empty((j.size, 16))
         for seg, lo in ((q <= qa[1], 0), (q > qa[1], 1)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,69 @@ def pr_box() -> ConditionalDistribution:
     return ConditionalDistribution(t)
 
 
+def _chsh_rows_flat() -> np.ndarray:
+    """CHSH functionals as rows acting on the flat 16-vector."""
+    signs = model._chsh_sign_matrix()
+    out = np.zeros((8, 16))
+    parity = np.array([(-1.0) ** (a + b) for a, b in model.PAIR_ORDER])
+    for r in range(8):
+        for s in range(4):
+            out[r, 4 * s : 4 * s + 4] = signs[r, s] * parity
+    return out
+
+
+def _enumerate_vertices() -> tuple[np.ndarray, np.ndarray]:
+    """Brute-force oracle: vertices of the half-space description.
+
+    The equalities define an 8-dimensional affine hull; every basic solution
+    of 8 of the 24 remaining inequalities (positivity and CHSH) is tested for
+    feasibility.  Entries indistinguishable from 0 or 1 are snapped before
+    rows are renormalised.  Returns the vertices in canonical order and the
+    deterministic mask.
+    """
+    E, f = model._equality_system()
+    chsh = _chsh_rows_flat()
+    x0 = np.full(16, 0.25)  # uniform table, center of the polytope
+    _, sv, vt = np.linalg.svd(E)
+    null = vt[int((sv > 1e-10).sum()) :].T  # (16, 8)
+    dim = null.shape[1]
+    assert dim == 8
+
+    G = np.vstack([-null, chsh @ null])
+    h = np.concatenate([x0, TSIRELSON_BOUND - chsh @ x0])
+    norms = np.linalg.norm(G, axis=1)
+    G /= norms[:, None]
+    h /= norms
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(G.shape[0]), dim)),
+        dtype=np.int64,
+    ).reshape(-1, dim)
+
+    points = []
+    for start in range(0, combos.shape[0], 65536):
+        idx = combos[start : start + 65536]
+        A = G[idx]
+        ok = np.abs(np.linalg.det(A)) > 1e-9
+        sols = np.linalg.solve(A[ok], h[idx][ok][..., None])[..., 0]
+        points.append(sols[(sols @ G.T <= h + 1e-9).all(axis=1)])
+
+    X = np.vstack(points) @ null.T + x0
+    X[np.abs(X) < 1e-9] = 0.0
+    X[np.abs(X - 1.0) < 1e-9] = 1.0
+    X /= X.reshape(-1, 4, 4).sum(axis=2).repeat(4, axis=1)
+    _, first = np.unique(np.round(X, 9), axis=0, return_index=True)
+    X = X[np.sort(first)]
+    X = X[np.lexsort(np.round(X, 12).T[::-1])]
+    return X, ((X == 0.0) | (X == 1.0)).all(axis=1)
+
+
 class TestPolytope:
+    def test_closed_form_matches_brute_force(self, vertices):
+        X, det_mask = _enumerate_vertices()
+        assert X.shape == (80, 16)
+        assert np.abs(vertices.vertices - X).max() <= 1e-14
+        assert np.array_equal(vertices.deterministic_mask, det_mask)
+
     def test_eighty_extreme_points(self, vertices):
         assert len(vertices) == 80
 
