@@ -2,8 +2,9 @@
 
 Optimises the PEF power and the entropy/extractor error split for the
 production block budget and soundness error, reporting the expected net
-yield.  Expect a couple of minutes: every candidate power costs three PEF
-optimisations plus a middle-anchor line search.
+yield.  Expect about ten seconds: every candidate power costs a middle-
+anchor line search over PEF optimisations, batched across the powers of
+each grid round.
 """
 
 from direx import expansion_feasible

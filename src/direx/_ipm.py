@@ -18,6 +18,15 @@ from the dual decomposition
 
 whose two terms are nonnegative, so the bound survives floating-point
 cancellation.
+
+The loop runs on a stack of ``P`` problems of equal shape ``(M, m)`` at
+once (:func:`solve_trial_pefs`; a single solve is a stack of one).  Every
+product is a per-problem BLAS call with the memory layout of the one-problem
+loop (``A.T`` is a transposed view, reductions are ``matmul``), each
+iteration factors its normal matrix once for predictor and corrector, and a
+failed factorisation is handled per problem, so each result is
+bit-identical to solving that problem alone.  Converged problems leave the
+stack; the polish and the face scan run per problem.
 """
 
 from __future__ import annotations
@@ -62,111 +71,205 @@ class PefSolution:
     dual: np.ndarray
 
 
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector product per problem of a stack (one gemv each)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product per problem of a stack (one BLAS dot each)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _first_max(a, b):
+    """Elementwise ``max(a, b)`` with Python's rule: ``b`` only if ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _scaled(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal scaling ``d`` and ``Bs = diag(d) B diag(d)`` for conditioning."""
+    d = 1.0 / np.sqrt(np.diagonal(B, axis1=-2, axis2=-1))
+    return d, B * d[..., :, None] * d[..., None, :]
+
+
+def _cholesky(Bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack and the mask of systems where it fails."""
+    failed = np.zeros(len(Bs), dtype=bool)
+    try:
+        return np.linalg.cholesky(Bs), failed
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(Bs)
+        for p, Bp in enumerate(Bs):
+            try:
+                L[p] = np.linalg.cholesky(Bp)
+            except np.linalg.LinAlgError:
+                failed[p] = True
+        return L, failed
+
+
+def _solve_scaled(Bs: np.ndarray, factor, b: np.ndarray) -> np.ndarray:
+    """Solve each ``Bs z = b`` of a stack through its Cholesky ``factor``.
+
+    A system whose factorisation or triangular solve fails is solved with a
+    1e-14 diagonal shift instead; the others keep their exact result.
+    """
+    L, failed = factor
+    failed = failed.copy()
+    z = np.empty_like(b)
+    ok = np.flatnonzero(~failed)
+    try:
+        if ok.size:
+            Lk = L[ok]
+            z[ok] = np.linalg.solve(Lk.swapaxes(1, 2), np.linalg.solve(Lk, b[ok, :, None]))[..., 0]
+    except np.linalg.LinAlgError:
+        for p in ok:
+            try:
+                z[p] = np.linalg.solve(L[p].T, np.linalg.solve(L[p], b[p]))
+            except np.linalg.LinAlgError:
+                failed[p] = True
+    shift = 1e-14 * np.eye(b.shape[1])
+    for p in np.flatnonzero(failed):
+        z[p] = np.linalg.solve(Bs[p] + shift, b[p])
+    return z
+
+
 def _spd_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve B z = rhs for SPD B with diagonal scaling for conditioning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _spd_solve_inner(B, rhs)
+        d, Bs = _scaled(B[None])
+        return _solve_scaled(Bs, _cholesky(Bs), rhs[None] * d)[0] * d[0]
 
 
-def _spd_solve_inner(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    d = 1.0 / np.sqrt(np.diag(B))
-    Bs = B * d[:, None] * d[None, :]
-    try:
-        L = np.linalg.cholesky(Bs)
-        z = np.linalg.solve(L.T, np.linalg.solve(L, rhs * d))
-    except np.linalg.LinAlgError:
-        z = np.linalg.solve(Bs + 1e-14 * np.eye(B.shape[0]), rhs * d)
-    return z * d
+def _certified_gaps(ws, A, r, beta, y, lam) -> np.ndarray:
+    """Duality gap at (y, lam) per problem, as a sum of nonnegative terms."""
+    lam = np.maximum(lam, 0.0)
+    fy = 1.0 + beta[:, None] * y
+    atl = _mv(A.swapaxes(1, 2), lam)
+    delta = (atl * fy - ws) / ws
+    s = r - _mv(A, y)
+    off = (delta <= -1.0).any(axis=1)
+    off |= (s < -1e-10 * np.maximum(1.0, np.abs(r))).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = delta - np.log1p(delta)
+    gap = _dot(ws, h) / beta + _dot(lam, np.maximum(s, 0.0))
+    return np.where(off, np.inf, gap)
+
+
+def _phis(ws, beta, y) -> np.ndarray:
+    """Objective ``sum w log1p(beta y) / beta`` per problem; -inf off-domain."""
+    arg = beta[:, None] * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = _dot(ws, np.log1p(arg)) / beta
+    return np.where((arg <= -1.0).any(axis=1), -np.inf, val)
 
 
 def _certified_gap(ws, A, r, beta, y, lam) -> float:
-    """Duality gap at (y, lam), computed as a sum of nonnegative terms."""
-    lam = np.maximum(lam, 0.0)
-    fy = 1.0 + beta * y
-    atl = A.T @ lam
-    delta = (atl * fy - ws) / ws
-    if (delta <= -1.0).any():
-        return math.inf
-    s = r - A @ y
-    if (s < -1e-10 * np.maximum(1.0, np.abs(r))).any():
-        return math.inf
-    h = delta - np.log1p(delta)
-    return float(np.dot(ws, h)) / beta + float(np.dot(lam, np.maximum(s, 0.0)))
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float((v[neg] / -dv[neg]).min()))
+    """:func:`_certified_gaps` for one problem."""
+    b = np.array([beta])
+    return float(_certified_gaps(ws[None], A[None], r[None], b, y[None], lam[None])[0])
 
 
 def _phi_factory(ws, beta):
+    b = np.array([beta])
+
     def phi(yv):
-        arg = beta * yv
-        if (arg <= -1.0).any():
-            return -math.inf
-        return float(np.dot(ws, np.log1p(arg))) / beta
+        return float(_phis(ws[None], b, yv[None])[0])
 
     return phi
 
 
-def _pdipm(ws, A, r, beta, rel_tol, max_iter=150):
-    M, m = A.shape
-    phi = _phi_factory(ws, beta)
+def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Largest step in (0, 1] keeping ``v + step * dv >= 0``, per problem."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dv < 0, v / -dv, np.inf).min(axis=1)
+    return np.where(ratio < 1.0, ratio, 1.0)
 
-    y = np.full(m, -1.0 / max(1.0, 2.0 * beta))  # strictly inside everything
-    s = r - A @ y
-    lam = np.ones(M)
-    best = (y.copy(), phi(y), math.inf, lam.copy())
+
+def _pdipm(ws, A, r, beta, rel_tol, max_iter=150):
+    """Mehrotra predictor-corrector on a stack of problems.
+
+    ``ws`` is ``(P, m)``, ``A`` is ``(P, M, m)``, ``r`` is ``(P, M)`` and
+    ``beta`` is ``(P,)``.  Every problem follows its own iterates exactly as
+    if solved alone and leaves the active stack when it converges.  Returns
+    the best iterate per problem as ``(y, phi, gap, lam)`` stacks.
+    """
+    P, M, m = A.shape
+    y = np.repeat((-1.0 / np.maximum(1.0, 2.0 * beta))[:, None], m, axis=1)
+    s = r - _mv(A, y)  # strictly inside everything
+    lam = np.ones((P, M))
+    best = [y.copy(), _phis(ws, beta, y), np.full(P, np.inf), lam.copy()]
     # slacks can hit denormals near convergence; 1/s overflow is expected
     # there and any non-finite step is rejected by the step-length rules
-    with np.errstate(over="ignore", invalid="ignore"):
-        best = _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best, phi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best)
     return best
 
 
-def _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best, phi):
-    M, m = A.shape
+def _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best):
+    M = A.shape[1]
+    idx = np.arange(A.shape[0])  # rows of ``best`` still being iterated
     for _ in range(max_iter):
-        fy = 1.0 + beta * y
-        D = beta * ws / fy**2
-        r_d = ws / fy - A.T @ lam
-        r_p = A @ y + s - r
-        mu = float(lam @ s) / M
-
-        gap = _certified_gap(ws, A, r, beta, y, lam)
-        pv = phi(y)
-        if gap < best[2]:
-            best = (y.copy(), pv, gap, lam.copy())
-        if gap <= max(rel_tol * abs(pv), GAP_FLOOR):
+        if not idx.size:
             break
+        At = A.swapaxes(1, 2)
+        b = beta[:, None]
+        fy = 1.0 + b * y
+        D = b * ws / fy**2
+        r_d = ws / fy - _mv(At, lam)
+        r_p = _mv(A, y) + s - r
+        mu = _dot(lam, s) / M
+
+        gap = _certified_gaps(ws, A, r, beta, y, lam)
+        pv = _phis(ws, beta, y)
+        up = gap < best[2][idx]
+        for dst, src in zip(best, (y, pv, gap, lam)):
+            dst[idx[up]] = src[up]
+        go = ~(gap <= _first_max(rel_tol * np.abs(pv), GAP_FLOOR))
+        if not go.all():
+            ws, A, r, beta, idx, y, s, lam, D, r_d, r_p, mu = (
+                v[go] for v in (ws, A, r, beta, idx, y, s, lam, D, r_d, r_p, mu)
+            )
+            if not idx.size:
+                break
+            At = A.swapaxes(1, 2)
 
         inv_s = 1.0 / s
-        B = np.diag(D) + (A.T * (lam * inv_s)) @ A
+        B = np.zeros(D.shape + D.shape[-1:])
+        B[:, np.arange(D.shape[1]), np.arange(D.shape[1])] = D
+        B = B + (At * (lam * inv_s)[:, None, :]) @ A
+        d, Bs = _scaled(B)  # factored once for predictor and corrector
+        factor = _cholesky(Bs)
+
+        def newton(rc):
+            rhs = r_d + _mv(At, inv_s * (rc - lam * r_p))
+            dy = _solve_scaled(Bs, factor, rhs * d) * d
+            ds = -r_p - _mv(A, dy)
+            return dy, ds, inv_s * (-rc - lam * ds)
+
         # predictor
         rc = lam * s
-        dy_a = _spd_solve(B, r_d + A.T @ (inv_s * (rc - lam * r_p)))
-        ds_a = -r_p - A @ dy_a
-        dl_a = inv_s * (-rc - lam * ds_a)
-        ap = _max_step(s, ds_a)
-        ad = _max_step(lam, dl_a)
-        mu_aff = float((lam + ad * dl_a) @ (s + ap * ds_a)) / M
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
+        dy_a, ds_a, dl_a = newton(rc)
+        ap = _max_steps(s, ds_a)[:, None]
+        ad = _max_steps(lam, dl_a)[:, None]
+        mu_aff = _dot(lam + ad * dl_a, s + ap * ds_a) / M
+        sigma = np.array(
+            [(a / u) ** 3 if u > 0 else 0.1 for a, u in zip(mu_aff.tolist(), mu.tolist())]
+        )
         # corrector
-        rc = lam * s + dl_a * ds_a - sigma * mu
-        dy = _spd_solve(B, r_d + A.T @ (inv_s * (rc - lam * r_p)))
-        ds = -r_p - A @ dy
-        dl = inv_s * (-rc - lam * ds)
-        tau = 0.995 if mu > 1e-10 else 0.9999
-        ap = tau * _max_step(s, ds)
-        ad = tau * _max_step(lam, dl)
+        rc = lam * s + dl_a * ds_a - (sigma * mu)[:, None]
+        dy, ds, dl = newton(rc)
+        tau = np.where(mu > 1e-10, 0.995, 0.9999)
+        ap = (tau * _max_steps(s, ds))[:, None]
+        ad = (tau * _max_steps(lam, dl))[:, None]
         y = y + ap * dy
         s = s + ap * ds
         lam = lam + ad * dl
-        if mu < 1e-17 and max(np.abs(r_p).max(), np.abs(r_d).max()) < 1e-14:
-            break
-    return best
+        res = _first_max(np.abs(r_p).max(axis=1), np.abs(r_d).max(axis=1))
+        go = ~((mu < 1e-17) & (res < 1e-14))
+        if not go.all():
+            ws, A, r, beta, idx, y, s, lam = (
+                v[go] for v in (ws, A, r, beta, idx, y, s, lam)
+            )
 
 
 def _polish(ws, A, r, beta, y0, lam0, best, act=None):
@@ -251,8 +354,40 @@ def solve_trial_pef(
     gap exceeds ``max(rel_tol, 1e-6)``; with ``strict=False`` the best
     feasible iterate is returned instead together with its certified gap
     (useful for coarse design sweeps at extreme powers where float64 cannot
-    certify below roughly 1e-5).
+    certify below roughly 1e-5).  This is :func:`solve_trial_pefs` on a
+    stack of one.
     """
+    return solve_trial_pefs([(w, A_full, rho, beta)], rel_tol, strict)[0]
+
+
+def solve_trial_pefs(problems, rel_tol: float = 1e-7, strict: bool = True) -> list[PefSolution]:
+    """:func:`solve_trial_pef` for many ``(w, A_full, rho, beta)`` problems.
+
+    Problems of equal reduced shape share one interior-point loop; each
+    result is bit-identical to solving that problem alone.  The first
+    failure in problem order is raised after all are solved.
+    """
+    reduced = [_reduce(*p) for p in problems]
+    bests: list = [None] * len(reduced)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, red in enumerate(reduced):
+        shapes.setdefault(red[1].shape, []).append(i)
+    for ids in shapes.values():
+        ws, A, r, beta = (np.stack([reduced[i][f] for i in ids]) for f in range(4))
+        for row, i in enumerate(ids):  # keep one copy of each problem: the stack's
+            reduced[i] = (ws[row], A[row], r[row], *reduced[i][3:])
+        stack = _pdipm(ws, A, r, beta, rel_tol)
+        for row, i in enumerate(ids):
+            bests[i] = tuple(v[row].copy() if v.ndim > 1 else v[row] for v in stack)
+    out = [_finish(red, best, rel_tol, strict) for red, best in zip(reduced, bests)]
+    for sol in out:
+        if isinstance(sol, PefOptimizationError):
+            raise sol
+    return out
+
+
+def _reduce(w, A_full, rho, beta):
+    """Support-reduced problem ``(ws, A, r, beta, sup, keep, n_rows)``."""
     sup = w > 0
     if not sup.any():
         raise ValueError("objective weights are all zero")
@@ -265,8 +400,14 @@ def solve_trial_pef(
     # the F >= 0 bounds join the constraint set so they carry dual variables
     A = np.vstack([A, -beta * np.eye(m)])
     r = np.concatenate([r, np.ones(m)])
+    return ws, A, r, float(beta), sup, keep, A_full.shape[0]
 
-    best = _pdipm(ws, A, r, beta, rel_tol)
+
+def _finish(reduced, best, rel_tol, strict) -> PefSolution | PefOptimizationError:
+    """Polish one interior-point result and certify it."""
+    ws, A, r, beta, sup, keep, n_rows = reduced
+    best = (best[0], float(best[1]), float(best[2]), best[3])
+    m = A.shape[1]
     if best[2] > max(rel_tol * abs(best[1]), GAP_FLOOR):
         best = _polish(ws, A, r, beta, best[0], best[3], best)
     if best[2] > max(rel_tol * abs(best[1]), GAP_FLOOR):
@@ -282,11 +423,11 @@ def solve_trial_pef(
     rel_gap = gap / max(abs(pv), 1e-300)
     y_full = np.zeros(16)
     y_full[sup] = y
-    lam_full = np.zeros(A_full.shape[0])
+    lam_full = np.zeros(n_rows)
     lam_full[keep] = lam[: keep.sum()]  # bound-row duals are internal
     if not math.isfinite(gap) or gap > max(max(rel_tol, 1e-6) * abs(pv), GAP_FLOOR):
         if strict or not math.isfinite(gap):
-            raise PefOptimizationError(
+            return PefOptimizationError(
                 f"PEF optimisation stalled with certified relative gap {rel_gap:.3e}",
                 solution=y_full,
                 rel_gap=rel_gap,

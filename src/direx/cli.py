@@ -73,7 +73,11 @@ class RunManifest:
         h.update(json.dumps(self.params, sort_keys=True).encode())
         for p in self.files:
             h.update(p.name.encode())
-            h.update(hashlib.sha256(p.read_bytes()).digest())
+            digest = hashlib.sha256()
+            with open(p, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(chunk)
+            h.update(digest.digest())
         return h.hexdigest()[:16]
 
     def stamp(self, obj: dict) -> dict:
@@ -196,7 +200,6 @@ def cmd_plan(args) -> int:
             raise InputError("plan needs --blocks or --budget")
         feasible, plan = planner.expansion_feasible(dist, n_b, args.k, args.eps)
         obj = plan.to_dict()
-    obj.pop("evaluations", None)
     RunManifest.resolve("plan", args, files).stamp(obj)
     _emit(obj, args)
     return EXIT_OK
@@ -236,6 +239,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _dataset_files(root: Path) -> list[Path]:
+    """Every input file of a dataset, in the order ``load_dataset`` reads them."""
+    files = [root / "manifest.json"]
+    for cdir in sorted(root.glob("cycle_*")):
+        files.append(cdir / "calibration.json")
+        for bpath in sorted(cdir.glob("expansion_*.blocks")):
+            files += [bpath, bpath.with_suffix("").with_suffix(".calib.json")]
+    return files
+
+
 def cmd_accumulate(args) -> int:
     root = Path(args.data)
     if not root.is_dir() or not (root / "manifest.json").exists():
@@ -267,7 +280,7 @@ def cmd_accumulate(args) -> int:
 
     state, trace = protocol.accumulate(cycles, cfg, builder, threads=args.threads or 1)
     obj = state.to_dict()
-    RunManifest.resolve("accumulate", args, [root / "manifest.json"]).stamp(obj)
+    RunManifest.resolve("accumulate", args, _dataset_files(root)).stamp(obj)
     if args.trace:
         with open(args.trace, "w") as fh:
             protocol.write_trace_csv(trace, fh, decimation=args.trace_decimation)

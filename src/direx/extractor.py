@@ -10,10 +10,10 @@ bits ``d_s`` that costs.  The governing constraints are
                                  / (log2(e) - log2(e - 1))))
 
 with ``w`` the smallest prime above ``2*ceil(log2(4*m_in*k_out^2 /
-eps_ext^2))`` and ``e`` Euler's number.  Ceilings sit on the critical path
-of ``w``, so the huge ratio is handled in exact rational arithmetic; the
-inner ceiling is evaluated in high-precision floating point with a
-near-integer guard.
+eps_ext^2))`` and ``e`` Euler's number.  Both ceilings are taken in float64
+first; an argument within a stated margin of an integer is redone exactly,
+the ratio's in rational arithmetic and the inner term's in high-precision
+floating point with a near-integer guard.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ def max_kout(sigma_in: float, eps_ext: float) -> int:
     """Largest output length satisfying the entropy-loss inequality.
 
     Monotone bisection on ``k_out + 4*log2(k_out)`` against
-    ``sigma_in - 6 + 4*log2(eps_ext)``.  Raises
-    :class:`InfeasibleParameters` when even one output bit is impossible.
+    ``sigma_in - 6 + 4*log2(eps_ext)``, started from a float bracket around
+    ``rhs - 4*log2(rhs)`` whose ends are kept only where they verify.
+    Raises :class:`InfeasibleParameters` when even one output bit is
+    impossible.
     """
     if eps_ext <= 0 or eps_ext > 1:
         raise ValueError("eps_ext must be in (0, 1]")
@@ -114,33 +116,54 @@ def max_kout(sigma_in: float, eps_ext: float) -> int:
         raise InfeasibleParameters(
             f"sigma_in={sigma_in} too small for any output at eps_ext={eps_ext}"
         )
+
+    def fits(k: int) -> bool:
+        return k + 4.0 * math.log2(k) <= rhs
+
     lo, hi = 1, 1 << 62
+    if math.isfinite(rhs):
+        guess = int(rhs - 4.0 * math.log2(rhs))
+        below = min(max(lo, guess - 64), hi)
+        above = max(min(hi, guess + 64), lo)
+        if fits(below):
+            lo = below
+        if not fits(above):
+            hi = above - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if mid + 4.0 * math.log2(mid) <= rhs:
+        if fits(mid):
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
-    """Seed bits ``d_s`` and field size prime ``w`` for the extractor.
+#: a float ceiling argument farther than this from an integer is decided
+#: in float64, whose error on these arguments is below 1e-12
+CEIL_MARGIN = 1e-9
 
-    ``w`` is the smallest prime above ``2*ceil(log2(4*m_in*k_out^2 /
-    eps_ext^2))`` with the ceiling taken over exact rationals.  The second
-    constraint is evaluated at 60 significant digits; a result within 1e-30
-    of an integer would be ambiguous and raises instead of guessing.
-    """
-    if m_in <= 0 or k_out <= 0:
-        raise ValueError("m_in and k_out must be positive")
-    if eps_ext <= 0 or eps_ext > 1:
-        raise ValueError("eps_ext must be in (0, 1]")
+
+def _ceil_log2_ratio(m_in: int, k_out: int, eps_ext: float) -> int:
+    """``ceil(log2(4*m_in*k_out^2/eps_ext^2))``, over rationals near integers."""
+    x = 2.0 + math.log2(m_in) + 2.0 * math.log2(k_out) - 2.0 * math.log2(eps_ext)
+    if abs(x - round(x)) > CEIL_MARGIN:
+        return math.ceil(x)
     ratio = Fraction(4) * m_in * k_out * k_out / (Fraction(eps_ext) ** 2)
-    w = smallest_prime_above(2 * ceil_log2_fraction(ratio))
+    return ceil_log2_fraction(ratio)
+
+
+def _ceil_inner(k_out: int, w: int) -> int:
+    """Ceiling of the seed-length inner term, at 60 digits near integers.
+
+    A 60-digit value within 1e-30 of an integer would be ambiguous and
+    raises instead of guessing.
+    """
+    e = math.e
+    if k_out < 2**1000:  # k_out - e fits a float64
+        x = (math.log2(k_out - e) - math.log2(w - e)) / (math.log2(e) - math.log2(e - 1))
+        if abs(x - round(x)) > CEIL_MARGIN:
+            return math.ceil(x)
     e = mpmath.e
-    if k_out <= e or w <= e:
-        raise InfeasibleParameters("k_out and w must exceed Euler's number")
     with mpmath.workdps(60):
         inner = (mpmath.log(k_out - e, 2) - mpmath.log(w - e, 2)) / (
             mpmath.log(e, 2) - mpmath.log(e - 1, 2)
@@ -150,7 +173,25 @@ def seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
             raise InfeasibleParameters(
                 f"seed-length ceiling ambiguous at {inner}; cannot certify d_s"
             )
-        d_s = int(w) * int(w) * max(2, 1 + int(mpmath.ceil(inner)))
+        return int(mpmath.ceil(inner))
+
+
+def seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
+    """Seed bits ``d_s`` and field size prime ``w`` for the extractor.
+
+    ``w`` is the smallest prime above ``2*ceil(log2(4*m_in*k_out^2 /
+    eps_ext^2))``.  Both ceilings are taken in float64 first; an argument
+    within ``CEIL_MARGIN`` of an integer is redone exactly, the first over
+    rationals and the second at 60 significant digits.
+    """
+    if m_in <= 0 or k_out <= 0:
+        raise ValueError("m_in and k_out must be positive")
+    if eps_ext <= 0 or eps_ext > 1:
+        raise ValueError("eps_ext must be in (0, 1]")
+    w = smallest_prime_above(2 * _ceil_log2_ratio(m_in, k_out, eps_ext))
+    if k_out <= math.e or w <= math.e:
+        raise InfeasibleParameters("k_out and w must exceed Euler's number")
+    d_s = w * w * max(2, 1 + _ceil_inner(k_out, w))
     return d_s, w
 
 

@@ -21,17 +21,28 @@ of those are again valid, so the lifted anchors are interpolated linearly in
 the spot-check probability ``q`` and divided by the position's own
 ``4 nu_q(z)``; the weights ``nu_q(z)`` come from :func:`_cell_input_weights`
 alone.
+
+:func:`build_pef_tables` builds tables for many powers at once: each power
+runs its own middle-anchor line search, and the anchors all searches need
+at a step are solved in one batched interior-point call, with results
+bit-identical to :func:`build_pef_table` called once per power.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from direx._ipm import PefOptimizationError, PefSolution, solve_trial_pef
+from direx._ipm import (
+    PefOptimizationError,
+    PefSolution,
+    solve_trial_pef,
+    solve_trial_pefs,
+)
 from direx.model import (
     ConditionalDistribution,
     InputDistribution,
@@ -52,11 +63,16 @@ __all__ = [
     "block_gain",
     "entropy_certificate",
     "build_pef_table",
+    "build_pef_tables",
 ]
 
 _LN2 = math.log(2.0)
 
 PEF_VALIDITY_TOL = 1e-9
+
+
+#: positions interpolated per step; bounds the temporaries of a 2^k table
+_ROWS = 1 << 14
 
 
 class InvalidRegimeError(ValueError):
@@ -183,12 +199,22 @@ def optimize_trial_pef(
     if vertices is None:
         vertices = enumerate_extreme_points()
     qv = q.q if isinstance(q, InputDistribution) else float(q)
-    nu = _cell_input_weights(qv)
-    w = nu * nu_h.table.ravel()
-    A, rho = pef_constraints(qv, beta, vertices)
-    sol: PefSolution = solve_trial_pef(w, A, rho, beta, rel_tol=rel_tol, strict=strict)
-    y = sol.excess.copy()
+    problem = _pef_problem(nu_h, qv, beta, vertices)
+    sol: PefSolution = solve_trial_pef(*problem, rel_tol=rel_tol, strict=strict)
+    return _lift_zero_cells(problem, sol, qv), sol.gain_bits
 
+
+def _pef_problem(nu_h, qv: float, beta: float, vertices) -> tuple:
+    """Objective weights and constraints ``(w, A, rho, beta)`` at one position."""
+    w = _cell_input_weights(qv) * nu_h.table.ravel()
+    A, rho = pef_constraints(qv, beta, vertices)
+    return w, A, rho, beta
+
+
+def _lift_zero_cells(problem, sol: PefSolution, qv: float) -> TrialPef:
+    """The solved PEF with its zero-weight cells raised as far as valid."""
+    w, A, rho, beta = problem
+    y = sol.excess.copy()
     zero = w == 0
     if zero.any():
         slack = rho - A @ y
@@ -197,9 +223,7 @@ def optimize_trial_pef(
             ratios = np.where(col > 0, slack / np.where(col > 0, col, 1.0), np.inf)
         lift = max(float(ratios.min()), 0.0)
         y[zero] = lift
-
-    pef = TrialPef.from_excess(y.reshape(4, 4), beta, qv)
-    return pef, sol.gain_bits
+    return TrialPef.from_excess(y.reshape(4, 4), beta, qv)
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +264,56 @@ class PefTable:
         s''(1 + beta y'')`` divided by ``s(q_j)`` is ``1 + beta * (lam s' y' +
         (1 - lam) s'' y'') / s(q_j)``, because ``s`` is linear in ``q``.
         """
+        j = self._checked(positions)
+        return self._excess(1.0 / (self.n_positions - j + 1.0))
+
+    def _checked(self, positions) -> np.ndarray:
         j = np.asarray(positions, dtype=np.int64)
         if ((j < 1) | (j > self.n_positions)).any():
             raise ValueError("positions outside 1..2^k")
-        q = 1.0 / (self.n_positions - j + 1.0)
+        return j
+
+    def _excess(self, q: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`excess_at` at spot-check probabilities ``q``.
+
+        ``sq`` may hold the lifts ``4 nu_q`` of every row, else they are
+        built a run of rows at a time.
+        """
+        q = q.ravel()
+        if q.size > 1 and (q[1:] < q[:-1]).any():
+            order = np.argsort(q, kind="stable")
+            out = np.empty((q.size, 16))
+            out[order] = self._excess(q[order], None if sq is None else sq[order])
+            return out
         qa = np.array([a.position_q for a in self.anchors])
         ya = np.array([a.excess.ravel() for a in self.anchors])
         sy = _cell_input_weights(qa) * 4.0 * ya
-        sq = _cell_input_weights(q) * 4.0
-        out = np.empty((j.size, 16))
-        for seg, lo in ((q <= qa[1], 0), (q > qa[1], 1)):
-            lam = ((qa[lo + 1] - q[seg]) / (qa[lo + 1] - qa[lo]))[:, None]
-            out[seg] = (lam * sy[lo] + (1 - lam) * sy[lo + 1]) / sq[seg]
+        out = np.empty((q.size, 16))
+        # q rises with the position, so the anchor segments are slices; they
+        # are filled in place, a bounded run of rows at a time
+        split = int(np.searchsorted(q, qa[1], side="right"))
+        bounds = sorted({0, split, q.size} | set(range(0, q.size, _ROWS)))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            lo = 0 if b <= split else 1
+            qs = q[a:b]
+            lam = ((qa[lo + 1] - qs) / (qa[lo + 1] - qa[lo]))[:, None]
+            o = out[a:b]
+            np.multiply(lam, sy[lo], out=o)
+            o += (1 - lam) * sy[lo + 1]
+            o /= _cell_input_weights(qs) * 4.0 if sq is None else sq[a:b]
         return out
 
     def log2_f(self, positions: np.ndarray) -> np.ndarray:
         """``log2 F_j`` per cell for many positions, shape ``(n, 16)``."""
-        return np.log1p(self.beta * self.excess_at(positions)) / _LN2
+        j = self._checked(positions)
+        return self._log2_f(1.0 / (self.n_positions - j + 1.0))
+
+    def _log2_f(self, q: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+        out = self._excess(q, sq)
+        out *= self.beta
+        np.log1p(out, out=out)
+        out /= _LN2
+        return out
 
     # --- serialization --------------------------------------------------
 
@@ -336,13 +393,14 @@ def block_gain(
     n = table.n_positions
     j = np.arange(1, n + 1, dtype=np.float64)
     q = 1.0 / (n - j + 1.0)
-    log2f = table.log2_f(np.arange(1, n + 1))
-    w = _cell_input_weights(q) * nu_h.table.ravel()[None, :]
+    log2f = table._log2_f(q)
+    w = _cell_input_weights(q)
+    w *= nu_h.table.ravel()[None, :]
     omega = (n - j + 1.0) / n
 
     m_j = np.einsum("ji,ji->j", w, log2f)
-    s_j = np.einsum("ji,ji->j", w, log2f**2)
     m00 = log2f[:, :4] @ nu_h.table[0]  # E[log2 F_j | z = 00]
+    s_j = np.einsum("ji,ji->j", w, np.square(log2f, out=log2f))
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
 
     e1 = float(omega @ m_j)
@@ -387,13 +445,21 @@ def entropy_certificate(
 
 DEFAULT_J_MID_K17 = 53_478
 
+#: anchor problems per batched interior-point call; larger stacks gain no
+#: speed and only hold more memory
+ANCHOR_BATCH = 128
 
-def _anchor(nu_h, j, k, beta, vertices, rel_tol, strict=True):
-    q = input_distribution(j, k)
-    pef, gain = optimize_trial_pef(
-        nu_h, q, beta, vertices=vertices, rel_tol=rel_tol, strict=strict
-    )
-    return pef
+
+@functools.lru_cache(maxsize=8)
+def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
+    """Decimated positions with their ``q``, ``nu_q``, lifts ``4 nu_q`` and reach."""
+    pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
+    q = 1.0 / (n - pos + 1.0)
+    nu = _cell_input_weights(q)
+    grid = (pos, q, nu, nu * 4.0, (n - pos + 1.0) / n)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
@@ -401,13 +467,44 @@ def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
     n = table.n_positions
     if n <= n_samples:
         return block_gain(table, nu_h).g_block
-    pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
-    log2f = table.log2_f(pos)
-    q = 1.0 / (n - pos + 1.0)
-    w = _cell_input_weights(q) * nu_h.table.ravel()[None, :]
+    pos, q, nu, sq, omega = _sample_grid(n, n_samples)
+    log2f = table._log2_f(q, sq)
+    w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
-    omega = (n - pos + 1.0) / n
     return float(np.trapezoid(omega * m_j, pos) / table.beta)
+
+
+def _j_mid_search(n: int, scores: dict[int, float]):
+    """Line search for the middle anchor, as a generator.
+
+    Yields the positions whose scores it needs next and reads them from
+    ``scores`` once resumed; returns the chosen position.  The grid is
+    log-spaced, then a ternary refinement runs on the bracket of the best
+    grid point, and ties at the end break toward the smaller position.
+    """
+
+    def clamp(jm) -> int:
+        return int(min(max(int(jm), 2), n - 1))
+
+    def score(jm) -> float:
+        return scores[clamp(jm)]
+
+    grid = np.unique(np.round(np.geomspace(2, n - 1, 25)).astype(np.int64))
+    yield [clamp(g) for g in grid]
+    best = int(grid[int(np.argmax([score(int(g)) for g in grid]))])
+    gi = int(np.searchsorted(grid, best))
+    lo = int(grid[max(0, gi - 1)])
+    hi = int(grid[min(len(grid) - 1, gi + 1)])
+    while hi - lo > 2:
+        m1 = lo + (hi - lo) // 3
+        m2 = hi - (hi - lo) // 3
+        yield [clamp(m1), clamp(m2)]
+        if score(m1) < score(m2):
+            lo = m1
+        else:
+            hi = m2
+    yield [clamp(jm) for jm in range(lo, hi + 1)]
+    return max(range(lo, hi + 1), key=lambda jm: (score(jm), -jm))
 
 
 def build_pef_table(
@@ -427,43 +524,78 @@ def build_pef_table(
     refinement, on a decimated rate estimate) picks the position that
     maximises the interpolated block rate.  Without either, ``k == 17``
     falls back to the production value 53478, other ``k`` run the search.
+    This is :func:`build_pef_tables` for one power.
+    """
+    return build_pef_tables(
+        nu_h, [beta], k, j_mid, optimize_j_mid, vertices, rel_tol, strict
+    )[0]
+
+
+def build_pef_tables(
+    nu_h: ConditionalDistribution,
+    betas,
+    k: int,
+    j_mid: int | None = None,
+    optimize_j_mid: bool = False,
+    vertices: PolytopeVertexSet | None = None,
+    rel_tol: float = 1e-7,
+    strict: bool = True,
+) -> list[PefTable]:
+    """:func:`build_pef_table` for many powers, one table per power.
+
+    Every power runs its own middle-anchor search, step for step as if
+    built alone; the anchors all searches need next are solved together
+    in one batched interior-point call per step.
     """
     if k < 2:
         raise ValueError("table construction needs k >= 2 (a middle anchor must exist)")
     if vertices is None:
         vertices = enumerate_extreme_points()
     n = 2**k
-    a1 = _anchor(nu_h, 1, k, beta, vertices, rel_tol, strict)
-    ak = _anchor(nu_h, n, k, beta, vertices, rel_tol, strict)
+    betas = [float(b) for b in betas]
+    anchors: list[dict[int, TrialPef]] = [{} for _ in betas]
 
-    def table_at(jm: int, mid_pef=None) -> PefTable:
-        mid = mid_pef or _anchor(nu_h, jm, k, beta, vertices, rel_tol, strict)
-        return PefTable(k=k, beta=beta, j_mid=jm, anchors=(a1, mid, ak))
+    def solve(wanted: dict[int, list[int]]) -> None:
+        jobs = [
+            (i, j) for i, js in wanted.items() for j in dict.fromkeys(js)
+            if j not in anchors[i]
+        ]
+        for at in range(0, len(jobs), ANCHOR_BATCH):
+            batch = jobs[at : at + ANCHOR_BATCH]
+            qs = [input_distribution(j, k).q for _, j in batch]
+            problems = [
+                _pef_problem(nu_h, q, betas[i], vertices) for (i, _), q in zip(batch, qs)
+            ]
+            sols = solve_trial_pefs(problems, rel_tol=rel_tol, strict=strict)
+            for (i, j), problem, sol, q in zip(batch, problems, sols, qs):
+                anchors[i][j] = _lift_zero_cells(problem, sol, q)
+
+    def table(i: int, jm: int) -> PefTable:
+        a = anchors[i]
+        return PefTable(k=k, beta=betas[i], j_mid=jm, anchors=(a[1], a[jm], a[n]))
 
     if j_mid is None and not optimize_j_mid and k == 17:
         j_mid = DEFAULT_J_MID_K17
     if j_mid is not None:
-        return table_at(int(j_mid))
+        solve({i: [1, n, int(j_mid)] for i in range(len(betas))})
+        return [table(i, int(j_mid)) for i in range(len(betas))]
 
-    cache: dict[int, float] = {}
-
-    def score(jm: int) -> float:
-        jm = int(min(max(jm, 2), n - 1))
-        if jm not in cache:
-            cache[jm] = _table_gain_estimate(table_at(jm), nu_h)
-        return cache[jm]
-
-    grid = np.unique(np.round(np.geomspace(2, n - 1, 25)).astype(np.int64))
-    best = int(grid[int(np.argmax([score(int(g)) for g in grid]))])
-    gi = int(np.searchsorted(grid, best))
-    lo = int(grid[max(0, gi - 1)])
-    hi = int(grid[min(len(grid) - 1, gi + 1)])
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if score(m1) < score(m2):
-            lo = m1
-        else:
-            hi = m2
-    best = max(range(lo, hi + 1), key=lambda jm: (score(jm), -jm))
-    return table_at(best)
+    scores: list[dict[int, float]] = [{} for _ in betas]
+    searches = {i: _j_mid_search(n, scores[i]) for i in range(len(betas))}
+    wanted = {i: [1, n] + next(s) for i, s in searches.items()}
+    best: dict[int, int] = {}
+    while wanted:
+        solve(wanted)
+        for i, js in wanted.items():
+            for jm in js:
+                if jm not in scores[i] and jm not in (1, n):
+                    scores[i][jm] = _table_gain_estimate(table(i, jm), nu_h)
+        wanted = {}
+        for i, s in searches.items():
+            if i in best:
+                continue
+            try:
+                wanted[i] = next(s)
+            except StopIteration as done:
+                best[i] = done.value
+    return [table(i, best[i]) for i in range(len(betas))]

@@ -14,6 +14,9 @@ The search optimises ``beta`` on a log grid with zoom refinement (every
 evaluation is kept for audit) and ``eps_en`` by a nested line search; block
 rates ``g_b(beta)`` are expensive (three PEF optimisations plus a middle-
 anchor line search each) and are cached per distribution and block length.
+Each grid round fills that cache for all its powers with one batched table
+build (:meth:`GainCurve.rates`), whose anchors are solved a search step at
+a time across powers; plans are the same as with one build per power.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
 from direx.model import ConditionalDistribution, is_member_T
-from direx.pef import block_gain, build_pef_table
+from direx.pef import block_gain, build_pef_tables
 from direx.protocol import consumed_bits, experiment_output_length
 
 __all__ = [
@@ -107,6 +110,8 @@ class PlanResult:
                 out[name] = val.item()
             elif isinstance(val, float) and not math.isfinite(val):
                 out[name] = None  # keep the dict JSON-serialisable
+            elif name == "evaluations":
+                out[name] = [(b, sn if math.isfinite(sn) else None) for b, sn in val]
             else:
                 out[name] = val
         return out
@@ -116,9 +121,11 @@ class GainCurve:
     """Cached block rates ``g_b(beta)`` for one distribution and length.
 
     Each evaluation builds a PEF table with the middle anchor optimised and
-    returns the full-resolution block rate.  Results are memoised on the
-    exact float value of ``beta``, so grid-with-zoom searches and the block
-    bisection share work.
+    returns the full-resolution block rate.  :meth:`rates` builds the
+    tables of all missing powers together, so their anchor solves share
+    batched interior-point calls; :meth:`rate` is the lookup.  Results are
+    memoised on the exact float value of ``beta``, so grid-with-zoom
+    searches and the block bisection share work.
     """
 
     def __init__(self, nu_h: ConditionalDistribution, k: int):
@@ -128,16 +135,22 @@ class GainCurve:
 
     def rate(self, beta: float) -> tuple[float, float, int]:
         """(g_b bits/block, var_b bits^2/block, j_mid) at this power."""
-        beta = float(beta)
-        if beta not in self._cache:
+        return self.rates([beta])[0]
+
+    def rates(self, betas) -> list[tuple[float, float, int]]:
+        """:meth:`rate` for many powers, building the missing ones together."""
+        betas = [float(b) for b in betas]
+        missing = list(dict.fromkeys(b for b in betas if b not in self._cache))
+        if missing:
             # design sweeps touch extreme powers where certification can be
             # float-limited; anchors stay feasible (hence rates attainable)
-            table = build_pef_table(
-                self.nu_h, beta, self.k, optimize_j_mid=True, strict=False
+            tables = build_pef_tables(
+                self.nu_h, missing, self.k, optimize_j_mid=True, strict=False
             )
-            rep = block_gain(table, self.nu_h)
-            self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
-        return self._cache[beta]
+            for beta, table in zip(missing, tables):
+                rep = block_gain(table, self.nu_h)
+                self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
+        return [self._cache[b] for b in betas]
 
 
 def _sigma_net_at(
@@ -202,6 +215,7 @@ def _optimize_beta(curve, N_b, eps, evaluations):
     step = grid[1] / grid[0]
     best = (-math.inf, None, None)
     for _round in range(1 + BETA_ZOOM_ROUNDS):
+        curve.rates(grid)
         for b in grid:
             b = float(b)
             sn, eps_en = _best_eps_en(curve, b, N_b, eps)
@@ -261,7 +275,7 @@ def expansion_feasible(
 def _asymptotically_feasible(curve: GainCurve, k: int) -> bool:
     """Expansion needs some power with g_b above the per-block consumption."""
     probe = np.geomspace(*BETA_BRACKET, 12)
-    return any(curve.rate(float(b))[0] > k + 2 for b in probe)
+    return any(g_b > k + 2 for g_b, _, _ in curve.rates(probe))
 
 
 def min_blocks(

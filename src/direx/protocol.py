@@ -575,14 +575,24 @@ def accumulate(
 # ---------------------------------------------------------------------------
 
 _BLOCK_HEAD = struct.Struct("<IH")
+_MAX_EVENTS = 0xFFFF  # the header's u16 detection count
 _EVENT = struct.Struct("<IB")
 _SPOT = struct.Struct("<BB")
 
 
 def write_blocks(records: Iterable[BlockRecord], fh) -> int:
-    """Binary little-endian block stream; returns the number written."""
+    """Binary little-endian block stream; returns the number written.
+
+    A block header holds its detection count in 16 bits, so a block with
+    more than 65,535 detections raises ``ValueError`` before it is written.
+    """
     n = 0
     for rec in records:
+        if len(rec.events) > _MAX_EVENTS:
+            raise ValueError(
+                f"block {n} has {len(rec.events)} detections; "
+                f"the .blocks format holds at most {_MAX_EVENTS} per block"
+            )
         fh.write(_BLOCK_HEAD.pack(rec.length, len(rec.events)))
         for pos, out in rec.events:
             fh.write(_EVENT.pack(pos, out))
@@ -655,7 +665,10 @@ def write_dataset(cycles: Sequence[CycleData], path: str | Path, meta: dict) -> 
         (cdir / "calibration.json").write_text(cyc.calibration.to_json())
         for fi, f in enumerate(cyc.files):
             with open(cdir / f"expansion_{fi:04d}.blocks", "wb") as fh:
-                write_blocks(f.blocks, fh)
+                try:
+                    write_blocks(f.blocks, fh)
+                except ValueError as e:
+                    raise ValueError(f"cycle {ci}, file {fi}: {e}") from None
             (cdir / f"expansion_{fi:04d}.calib.json").write_text(
                 f.trailing_calibration.to_json()
             )

@@ -166,6 +166,55 @@ class TestSimulateAccumulate:
         assert len(err.strip().splitlines()) == 1
         assert "cycle 0, file 0" in err
 
+    def test_block_over_65535_detections_exit_2(self, workdir, capsys, monkeypatch):
+        big = protocol.BlockRecord(
+            length=65_538,
+            events=tuple((p, 1) for p in range(1, 65_537)),
+            spot_settings=0,
+            spot_outcome=0,
+        )
+        calib = commissioning_counts()
+        cycles = [
+            protocol.CycleData(
+                calibration=calib,
+                files=(protocol.ExpansionFile(blocks=(big,), trailing_calibration=calib),),
+            )
+        ]
+        monkeypatch.setattr(
+            protocol, "simulate_dataset", lambda *a, **kw: (cycles, {"n_blocks": 1})
+        )
+        code = cli.main(
+            ["simulate", str(workdir / "dist.json"), "--k", "17", "--blocks", "1",
+             "--out", str(workdir / "big")]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "cycle 0, file 0: block 0 has 65536 detections" in err
+
+    def test_accumulate_hash_covers_block_bytes(self, workdir, capsys):
+        ds = workdir / "hashed"
+        code, _ = run(
+            capsys, "simulate", workdir / "dist.json", "--k", "4",
+            "--blocks", "40", "--seed", "3", "--out", ds, "--threads", "1",
+        )
+        assert code == 0
+        argv = ("accumulate", ds, "--beta", "1e-6", "--gmin", "1e9", "--threads", "1")
+
+        def manifest_hash() -> str:
+            code, out = run(capsys, *argv)
+            assert code in (0, 1)
+            return json.loads(out)["manifest_hash"]
+
+        before = manifest_hash()
+        assert manifest_hash() == before
+        blocks = sorted(ds.glob("cycle_*/expansion_*.blocks"))[-1]
+        data = bytearray(blocks.read_bytes())
+        data[-1] ^= 1  # the last block's spot outcome, still a valid pair index
+        blocks.write_bytes(bytes(data))
+        assert manifest_hash() != before
+
     def test_simulate_deterministic_rerun(self, workdir, capsys):
         out1 = workdir / "da"
         out2 = workdir / "db"
@@ -248,6 +297,32 @@ class TestPlan:
         obj = json.loads(out)
         assert obj["k_opt"] == 4
         assert calls == [(1e-3, range(3, 5))]
+
+    def test_plan_keeps_its_audit_trail_as_strict_json(self, workdir, capsys, monkeypatch):
+        evaluations = [(float(b), -math.inf) for b in np.geomspace(1e-10, 1e-8, 20)]
+        evaluations += [(float(b), 1e3 * i) for i, b in enumerate(np.geomspace(1e-8, 1e-5, 20))]
+
+        def fake(nu_h, N_b, k, eps, curve=None):
+            plan = planner.PlanResult(
+                feasible=True, k=k, eps=eps, beta_opt=1e-6, sigma_net=19e3,
+                evaluations=list(evaluations),
+            )
+            return True, plan
+
+        monkeypatch.setattr(planner, "expansion_feasible", fake)
+        code, out = run(
+            capsys, "plan", workdir / "dist.json", "--eps", "1e-3", "--k", "4",
+            "--blocks", "1000",
+        )
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name} on stdout")
+
+        obj = json.loads(out, parse_constant=refuse)
+        assert len(obj["evaluations"]) >= planner.BETA_GRID_POINTS
+        assert obj["evaluations"][0] == [1e-10, None]
+        assert [tuple(e) for e in obj["evaluations"][20:]] == evaluations[20:]
 
     def test_plan_requires_budget_or_blocks(self, workdir, capsys):
         code, _ = run(capsys, "plan", workdir / "dist.json", "--eps", "1e-3")

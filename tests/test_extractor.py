@@ -201,3 +201,134 @@ class TestSetX:
     def test_json_roundtrip(self):
         p = self._gold()
         assert ExtractorParams.from_json(p.to_json()) == p
+
+
+# ---------------------------------------------------------------------------
+# float-first ceilings against the former exact-only arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _exact_max_kout(sigma_in: float, eps_ext: float) -> int:
+    """The former ``max_kout``: bisection over the whole range."""
+    rhs = sigma_in - 6 + 4.0 * math.log2(eps_ext)
+    if 1.0 > rhs:
+        raise InfeasibleParameters("no output")
+    lo, hi = 1, 1 << 62
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid + 4.0 * math.log2(mid) <= rhs:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _exact_w(m_in: int, k_out: int, eps_ext: float) -> int:
+    ratio = Fraction(4) * m_in * k_out * k_out / (Fraction(eps_ext) ** 2)
+    return smallest_prime_above(2 * ceil_log2_fraction(ratio))
+
+
+def _exact_inner(k_out: int, w: int):
+    e = mpmath.e
+    return (mpmath.log(k_out - e, 2) - mpmath.log(w - e, 2)) / (
+        mpmath.log(e, 2) - mpmath.log(e - 1, 2)
+    )
+
+
+def _exact_seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
+    """The former ``seed_length``: exact rationals, then 60 digits."""
+    w = _exact_w(m_in, k_out, eps_ext)
+    if k_out <= mpmath.e or w <= mpmath.e:
+        raise InfeasibleParameters("k_out and w must exceed Euler's number")
+    with mpmath.workdps(60):
+        inner = _exact_inner(k_out, w)
+        if abs(inner - mpmath.nint(inner)) < mpmath.mpf("1e-30"):
+            raise InfeasibleParameters("ambiguous")
+        return w * w * max(2, 1 + int(mpmath.ceil(inner))), w
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleParameters:
+        return InfeasibleParameters
+
+
+def _kout_at_integer_inner(m_in: int, eps_ext: float, n: int) -> int:
+    """The integer ``k_out`` whose inner seed term lies closest to ``n``.
+
+    ``w`` depends on ``k_out`` only through a ceiling, so a few rounds of
+    solving ``inner(k_out, w) = n`` for ``k_out`` settle it.
+    """
+    w = 7
+    with mpmath.workdps(80):
+        for _ in range(10):
+            e = mpmath.e
+            k_out = int(mpmath.nint(e + (w - e) * (e / (e - 1)) ** n))
+            w, w_old = _exact_w(m_in, k_out, eps_ext), w
+            if w == w_old:
+                return k_out
+    raise AssertionError("w did not settle")
+
+
+class TestFloatFirst:
+    def test_max_kout_random(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(400):
+            sigma = float(10 ** rng.uniform(0.5, 19))
+            eps = float(10 ** rng.uniform(-15, 0))
+            assert _outcome(max_kout, sigma, eps) == _outcome(_exact_max_kout, sigma, eps)
+
+    def test_max_kout_boundaries_and_extremes(self):
+        rng = np.random.default_rng(17)
+        sigmas = [math.inf, math.nan, 1e30, 2.0**62, 7.0, 7.000001]
+        for k in rng.integers(1, 2**40, 50).tolist() + [1, 2, 3, 2**53, 2**62 - 1]:
+            edge = k + 4.0 * math.log2(k) + 6.0
+            sigmas += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        for sigma in sigmas:
+            for eps in (1.0, 0.5):
+                assert _outcome(max_kout, sigma, eps) == _outcome(
+                    _exact_max_kout, sigma, eps
+                ), sigma
+
+    def test_seed_length_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m_in = int(rng.integers(16, 2**50))
+            k_out = int(rng.integers(3, m_in))
+            eps = float(10 ** rng.uniform(-15, 0))
+            assert seed_length(m_in, k_out, eps) == _exact_seed_length(m_in, k_out, eps)
+        # an output length beyond float64's range takes the exact path
+        assert seed_length(2**1400, 10**400, 0.5) == _exact_seed_length(2**1400, 10**400, 0.5)
+
+    def test_exact_ratio_takes_the_rational_path(self, monkeypatch):
+        from direx import extractor
+
+        calls = []
+        monkeypatch.setattr(
+            extractor, "ceil_log2_fraction", lambda v: calls.append(v) or ceil_log2_fraction(v)
+        )
+        # 4 * 2^30 * (2^20)^2 / 0.5^2 = 2^74 exactly: the float log2 is an integer
+        assert seed_length(2**30, 2**20, 0.5) == _exact_seed_length(2**30, 2**20, 0.5)
+        assert calls == [Fraction(2**74)]
+
+    def test_inner_near_an_integer_takes_the_exact_path(self, monkeypatch):
+        m_in, eps = 2**50, 1e-6
+        k_out = _kout_at_integer_inner(m_in, eps, 57)
+        w = _exact_w(m_in, k_out, eps)
+        with mpmath.workdps(60):
+            assert abs(_exact_inner(k_out, w) - 57) < 1e-12
+        want = _exact_seed_length(m_in, k_out, eps)
+        calls = []
+        workdps = mpmath.workdps
+        monkeypatch.setattr(mpmath, "workdps", lambda n: calls.append(n) or workdps(n))
+        assert seed_length(m_in, k_out, eps) == want
+        assert calls == [60]
+
+    def test_ambiguous_inner_still_raises(self):
+        m_in, eps = 2**50, 1e-6
+        k_out = _kout_at_integer_inner(m_in, eps, 160)
+        with pytest.raises(InfeasibleParameters):
+            _exact_seed_length(m_in, k_out, eps)
+        with pytest.raises(InfeasibleParameters, match="ambiguous"):
+            seed_length(m_in, k_out, eps)

@@ -380,3 +380,134 @@ class TestSerialization:
         obj = json.loads(rep.to_json())
         assert obj["g_block_bits"] == rep.g_block
         assert obj["k"] == small_table.k
+
+
+# ---------------------------------------------------------------------------
+# batched table construction against the former one-power code
+# ---------------------------------------------------------------------------
+
+
+def _masked_excess_at(table: pef.PefTable, positions) -> np.ndarray:
+    """The former ``excess_at``: anchor segments picked by boolean masks."""
+    j = np.asarray(positions, dtype=np.int64)
+    q = 1.0 / (table.n_positions - j + 1.0)
+    qa = np.array([a.position_q for a in table.anchors])
+    ya = np.array([a.excess.ravel() for a in table.anchors])
+    sy = pef._cell_input_weights(qa) * 4.0 * ya
+    sq = pef._cell_input_weights(q) * 4.0
+    out = np.empty((j.size, 16))
+    for seg, lo in ((q <= qa[1], 0), (q > qa[1], 1)):
+        lam = ((qa[lo + 1] - q[seg]) / (qa[lo + 1] - qa[lo]))[:, None]
+        out[seg] = (lam * sy[lo] + (1 - lam) * sy[lo + 1]) / sq[seg]
+    return out
+
+
+def _masked_log2_f(table, positions):
+    return np.log1p(table.beta * _masked_excess_at(table, positions)) / LN2
+
+
+def _former_block_gain(table, nu_h) -> tuple[float, float]:
+    n = table.n_positions
+    j = np.arange(1, n + 1, dtype=np.float64)
+    q = 1.0 / (n - j + 1.0)
+    log2f = _masked_log2_f(table, np.arange(1, n + 1))
+    w = pef._cell_input_weights(q) * nu_h.table.ravel()[None, :]
+    omega = (n - j + 1.0) / n
+    m_j = np.einsum("ji,ji->j", w, log2f)
+    s_j = np.einsum("ji,ji->j", w, log2f**2)
+    m00 = log2f[:, :4] @ nu_h.table[0]
+    prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
+    e1 = float(omega @ m_j)
+    e2 = float(omega @ s_j + 2.0 * (omega * m_j) @ prefix)
+    return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0)
+
+
+def _former_estimate(table, nu_h, n_samples=2048) -> float:
+    n = table.n_positions
+    pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
+    log2f = _masked_log2_f(table, pos)
+    q = 1.0 / (n - pos + 1.0)
+    w = pef._cell_input_weights(q) * nu_h.table.ravel()[None, :]
+    m_j = np.einsum("ji,ji->j", w, log2f)
+    omega = (n - pos + 1.0) / n
+    return float(np.trapezoid(omega * m_j, pos) / table.beta)
+
+
+def _former_search_table(nu_h, beta, k) -> pef.PefTable:
+    """The former one-power build: anchors solved one by one, no anchor cache."""
+    n = 2**k
+
+    def anchor(j):
+        q = input_distribution(j, k)
+        return pef.optimize_trial_pef(nu_h, q, beta, strict=False)[0]
+
+    a1, ak = anchor(1), anchor(n)
+
+    def table_at(jm):
+        return pef.PefTable(k=k, beta=beta, j_mid=jm, anchors=(a1, anchor(jm), ak))
+
+    cache = {}
+
+    def score(jm):
+        jm = int(min(max(jm, 2), n - 1))
+        if jm not in cache:
+            cache[jm] = _former_estimate(table_at(jm), nu_h)
+        return cache[jm]
+
+    grid = np.unique(np.round(np.geomspace(2, n - 1, 25)).astype(np.int64))
+    best = int(grid[int(np.argmax([score(int(g)) for g in grid]))])
+    gi = int(np.searchsorted(grid, best))
+    lo = int(grid[max(0, gi - 1)])
+    hi = int(grid[min(len(grid) - 1, gi + 1)])
+    while hi - lo > 2:
+        m1 = lo + (hi - lo) // 3
+        m2 = hi - (hi - lo) // 3
+        if score(m1) < score(m2):
+            lo = m1
+        else:
+            hi = m2
+    best = max(range(lo, hi + 1), key=lambda jm: (score(jm), -jm))
+    return table_at(best)
+
+
+def _same_table(a: pef.PefTable, b: pef.PefTable) -> bool:
+    return (a.k, a.beta, a.j_mid) == (b.k, b.beta, b.j_mid) and all(
+        x.position_q == y.position_q and x.excess.tobytes() == y.excess.tobytes()
+        for x, y in zip(a.anchors, b.anchors)
+    )
+
+
+class TestBatchedBuild:
+    def test_search_matches_former_build(self, commissioning):
+        nu = commissioning["distribution"]
+        got = pef.build_pef_table(nu, 2e-8, 17, optimize_j_mid=True, strict=False)
+        assert _same_table(got, _former_search_table(nu, 2e-8, 17))
+
+    def test_many_powers_match_one_at_a_time(self, design):
+        nu = design["distribution"]
+        betas = [1e-9, PAPER_BETA, 3e-6, 1e-9]
+        for k in (5, 17):
+            many = pef.build_pef_tables(nu, betas, k, optimize_j_mid=True, strict=False)
+            for beta, table in zip(betas, many):
+                one = pef.build_pef_table(nu, beta, k, optimize_j_mid=True, strict=False)
+                assert _same_table(table, one)
+
+    def test_fixed_middle_anchor(self, commissioning, production_table):
+        nu = commissioning["distribution"]
+        (got,) = pef.build_pef_tables(nu, [PAPER_BETA], PAPER_K, j_mid=PAPER_J_MID)
+        assert _same_table(got, production_table)
+
+    def test_excess_at_matches_masked_form(self, production_table):
+        t = production_table
+        rng = np.random.default_rng(11)
+        for js in (np.arange(1, 2**17 + 1), rng.integers(1, 2**17 + 1, 5000)):
+            assert t.excess_at(js).tobytes() == _masked_excess_at(t, js).tobytes()
+
+    def test_rates_match_former_formulas(self, commissioning, production_table, small_table):
+        nu = commissioning["distribution"]
+        assert pef._table_gain_estimate(production_table, nu) == _former_estimate(
+            production_table, nu
+        )
+        for t in (production_table, small_table):
+            rep = pef.block_gain(t, nu)
+            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)

@@ -509,6 +509,19 @@ class TestWireFormats:
             with pytest.raises(ValueError, match="truncated block stream"):
                 protocol.read_blocks(io.BytesIO(data[:cut]))
 
+    def test_block_over_u16_detections_rejected_before_writing(self):
+        ok = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
+        big = BlockRecord(
+            length=65_538,
+            events=tuple((p, 1 + p % 3) for p in range(1, 65_537)),
+            spot_settings=0,
+            spot_outcome=0,
+        )
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="block 1 has 65536 detections"):
+            protocol.write_blocks([ok, big], buf)
+        assert protocol.read_blocks(io.BytesIO(buf.getvalue())) == [ok]
+
     def test_dataset_roundtrip(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
         cfg = RunConfig(k=4, beta=1e-6, G_min=1.0, N_b=50, n_calib_min=1, seed=12)
