@@ -239,22 +239,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _dataset_files(root: Path) -> list[Path]:
-    """Every input file of a dataset, in the order ``load_dataset`` reads them."""
-    files = [root / "manifest.json"]
-    for cdir in sorted(root.glob("cycle_*")):
-        files.append(cdir / "calibration.json")
-        for bpath in sorted(cdir.glob("expansion_*.blocks")):
-            files += [bpath, bpath.with_suffix("").with_suffix(".calib.json")]
-    return files
-
-
 def cmd_accumulate(args) -> int:
     root = Path(args.data)
     if not root.is_dir() or not (root / "manifest.json").exists():
         raise InputError(f"not a dataset directory: {args.data}")
     cycles, manifest = protocol.load_dataset(root)
-    if not cycles or not any(c.blocks for c in cycles):
+    n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
+    if not n_blocks:
         raise InputError(f"dataset at {args.data} contains no blocks")
     k = args.k if args.k is not None else int(manifest["k"])
     if args.gmin is None or args.beta is None:
@@ -263,7 +254,7 @@ def cmd_accumulate(args) -> int:
         k=k,
         beta=args.beta,
         G_min=args.gmin,
-        N_b=args.blocks or sum(len(c.blocks) for c in cycles),
+        N_b=args.blocks or n_blocks,
         n_calib_min=args.n_calib_min,
         seed=args.seed,
         check_granularity=args.check_granularity,
@@ -280,7 +271,10 @@ def cmd_accumulate(args) -> int:
 
     state, trace = protocol.accumulate(cycles, cfg, builder, threads=args.threads or 1)
     obj = state.to_dict()
-    RunManifest.resolve("accumulate", args, _dataset_files(root)).stamp(obj)
+    files = [root / "manifest.json"]
+    for calib, pairs in protocol.dataset_layout(root):
+        files += [calib, *(p for pair in pairs for p in pair)]
+    RunManifest.resolve("accumulate", args, files).stamp(obj)
     if args.trace:
         with open(args.trace, "w") as fh:
             protocol.write_trace_csv(trace, fh, decimation=args.trace_decimation)

@@ -2,9 +2,14 @@
 
 A block is a run of trials whose length ``L`` is uniform on ``1..2^k``; all
 trials before the last use the fixed settings 00 and the final spot-check
-trial draws its settings uniformly.  Records are sparse: non-spot trials
+trial draws its settings uniformly.  Blocks are sparse: non-spot trials
 with no detections (outcome 00) are implicit, only detection events and the
-spot trial are stored.
+spot trial are stored.  In memory a set of blocks is always a
+:class:`Blocks`, five integer columns ``(L, block_of_event, pos, out,
+spot)`` from the sampler through the ``.blocks`` files to the witness
+kernel; its constructor is the one place blocks are validated, so a file
+that decodes to an impossible block is rejected as it is read.
+:class:`BlockRecord` is a per-block view of those columns, built on demand.
 
 The analysis consumes blocks in time order.  Each cycle of data provides
 calibration counts from which the honest-device distribution is refitted
@@ -23,10 +28,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from itertools import chain
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from direx.pef import PefTable
 
 __all__ = [
     "BlockRecord",
+    "Blocks",
     "RunConfig",
     "AccumulatorState",
     "ExpansionFile",
@@ -52,9 +57,8 @@ __all__ = [
     "expansion_summary",
     "write_blocks",
     "read_blocks",
-    "blocks_to_jsonl",
-    "blocks_from_jsonl",
     "write_dataset",
+    "dataset_layout",
     "load_dataset",
     "write_trace_csv",
 ]
@@ -77,35 +81,48 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
+class _EventsView:
+    """A block's ``(position, outcome)`` pairs over its column slices.
+
+    Records iterated out of :class:`Blocks` hold no Python object per
+    event; a view compares equal to the tuple of its pairs.
+    """
+
+    __slots__ = ("pos", "out")
+
+    def __init__(self, pos: np.ndarray, out: np.ndarray):
+        self.pos, self.out = pos, out
+
+    def __len__(self) -> int:
+        return self.pos.size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.pos.tolist(), self.out.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _EventsView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class BlockRecord:
-    """Sparse record of one block.
+    """One block as plain values: a view of :class:`Blocks`, or made by hand.
 
     ``events`` lists ``(position, outcome)`` for pre-spot trials with a
     detection (outcome index != 0), positions strictly increasing in
     ``1..length-1``; every other pre-spot trial implicitly has settings 00
     and outcome 00.  The spot-check trial sits at ``position == length``.
+    Records are checked when they enter :meth:`Blocks.from_records`.
     """
 
     length: int
-    events: tuple[tuple[int, int], ...]
+    events: tuple[tuple[int, int], ...] | _EventsView
     spot_settings: int
     spot_outcome: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("block length must be at least 1")
-        if not 0 <= self.spot_settings <= 3 or not 0 <= self.spot_outcome <= 3:
-            raise ValueError("spot settings/outcome must be pair indices 0..3")
-        last = 0
-        for pos, out in self.events:
-            if not last < pos < self.length:
-                raise ValueError(
-                    f"event position {pos} not strictly increasing below {self.length}"
-                )
-            if not 1 <= out <= 3:
-                raise ValueError("recorded events must have a detection outcome")
-            last = pos
 
     def dense_trials(self) -> list[tuple[int, int]]:
         """All trials as (settings, outcome) pairs, including implicit ones."""
@@ -113,6 +130,109 @@ class BlockRecord:
         out = [(0, by_pos.get(j, 0)) for j in range(1, self.length)]
         out.append((self.spot_settings, self.spot_outcome))
         return out
+
+
+def _spot_codes(settings: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+    """``4 * settings + outcome``, or -1 where either is not a pair index."""
+    return np.where((settings | outcome) >> 2 == 0, 4 * settings + outcome, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """Blocks as int64 columns ``(L, block_of_event, pos, out, spot)``.
+
+    Block ``b`` has length ``L[b]`` and spot-check cell ``spot[b] = 4 *
+    settings + outcome``; event ``i``, in block order, is a detection with
+    outcome ``out[i]`` at position ``pos[i]`` of block ``block_of_event[i]``.
+    The constructor is the only block validator.  Slices are ``Blocks``,
+    ``==`` compares every column and iteration yields :class:`BlockRecord`
+    views.
+    """
+
+    L: np.ndarray
+    block_of_event: np.ndarray
+    pos: np.ndarray
+    out: np.ndarray
+    spot: np.ndarray
+
+    def __post_init__(self):
+        """Raise a one-line ``ValueError`` naming the first bad block."""
+        names = ("L", "block_of_event", "pos", "out", "spot")
+        for name, col in zip(names, self.columns):
+            object.__setattr__(self, name, np.asarray(col, np.int64))
+        L, boe, pos, out, spot = self.columns
+        if boe.size and (boe[0] < 0 or boe[-1] >= L.size or (np.diff(boe) < 0).any()):
+            raise ValueError("block_of_event must be non-decreasing block indices")
+        rising = np.ones(pos.size, bool)
+        rising[1:] = (boe[1:] != boe[:-1]) | (pos[1:] > pos[:-1])
+        faults = [
+            (int(bad[0]), what)
+            for bad, what in (
+                (np.flatnonzero(L < 1), "length below 1"),
+                (np.flatnonzero(spot >> 4 != 0), "spot settings or outcome outside 0..3"),
+                (boe[(out < 1) | (out > 3)], "event outcome is not a detection 1..3"),
+                (boe[(pos < 1) | (pos >= L[boe])], "event position outside 1..L-1"),
+                (boe[~rising], "event positions not strictly increasing"),
+            )
+            if bad.size
+        ]
+        if faults:
+            raise ValueError("block {}: {}".format(*min(faults, key=lambda f: f[0])))
+
+    @classmethod
+    def from_records(cls, records: Iterable[BlockRecord]) -> "Blocks":
+        """Columns of records made outside the program, validated."""
+        records = list(records)
+        ev = np.array([e for r in records for e in r.events], np.int64).reshape(-1, 2)
+        spot = np.array([(r.spot_settings, r.spot_outcome) for r in records], np.int64)
+        return cls(
+            [r.length for r in records],
+            np.repeat(np.arange(len(records)), [len(r.events) for r in records]),
+            ev[:, 0],
+            ev[:, 1],
+            _spot_codes(*spot.reshape(-1, 2).T),
+        )
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.L, self.block_of_event, self.pos, self.out, self.spot
+
+    def __len__(self) -> int:
+        return self.L.size
+
+    def __getitem__(self, index: slice) -> "Blocks":
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("Blocks slices must be contiguous")
+        a, b = np.searchsorted(self.block_of_event, (start, max(start, stop)))
+        return Blocks(
+            self.L[start:stop],
+            self.block_of_event[a:b] - start,
+            self.pos[a:b],
+            self.out[a:b],
+            self.spot[start:stop],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Blocks):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
+
+    def __iter__(self) -> Iterator[BlockRecord]:
+        ends = np.searchsorted(self.block_of_event, np.arange(1, len(self) + 1))
+        start = 0
+        for L, end, spot in zip(self.L.tolist(), ends.tolist(), self.spot.tolist()):
+            events = _EventsView(self.pos[start:end], self.out[start:end])
+            yield BlockRecord(L, events, spot >> 2, spot & 3)
+            start = end
+
+
+def _join(parts: Sequence[tuple[np.ndarray, ...]]) -> Blocks:
+    """One :class:`Blocks` from column tuples, in order."""
+    first = np.cumsum([0] + [len(p[0]) for p in parts])
+    L, boe, pos, out, spot = zip(*parts)
+    boe = [b + f for b, f in zip(boe, first)]
+    return Blocks(*map(np.concatenate, (L, boe, pos, out, spot)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +284,7 @@ class AccumulatorState:
 
 @dataclass(frozen=True)
 class ExpansionFile:
-    blocks: tuple[BlockRecord, ...]
+    blocks: Blocks
     trailing_calibration: CountsTable
 
 
@@ -283,13 +403,8 @@ def simulate_block(
     geometric skip-sampling; the spot trial uses uniform settings.  This is
     the columnar sampler behind :func:`simulate_run_witness` at one block.
     """
-    L, _, pos, out, spot = _sample_blocks(nu_h.table, k, 1, rng)
-    return BlockRecord(
-        length=int(L[0]),
-        events=tuple(zip(pos.tolist(), out.tolist())),
-        spot_settings=int(spot[0]) >> 2,
-        spot_outcome=int(spot[0]) & 3,
-    )
+    (record,) = Blocks(*_sample_blocks(nu_h.table, k, 1, rng))
+    return record
 
 
 def simulate_calibration_counts(
@@ -303,10 +418,11 @@ def simulate_calibration_counts(
 
 def _simulate_block_range(
     table: np.ndarray, k: int, seed: int, start: int, stop: int
-) -> list[BlockRecord]:
+) -> Blocks:
     """Blocks ``start..stop-1`` on their per-index streams (pool worker)."""
-    nu_h = ConditionalDistribution(table)
-    return [simulate_block(nu_h, k, stream_rng(seed, i)) for i in range(start, stop)]
+    return _join(
+        [_sample_blocks(table, k, 1, stream_rng(seed, i)) for i in range(start, stop)]
+    )
 
 
 def simulate_dataset(
@@ -327,6 +443,8 @@ def simulate_dataset(
     wall-clock summary that includes dead-time trials (skipped after each
     spot check, never recorded or analysed).
     """
+    if blocks_per_file < 1 or files_per_cycle < 1:
+        raise ValueError("blocks_per_file and files_per_cycle must be at least 1")
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -343,37 +461,32 @@ def simulate_dataset(
                 [a for a, _ in ranges],
                 [b for _, b in ranges],
             )
-            records = [rec for part in parts for rec in part]
+            blocks = _join([part.columns for part in parts])
     else:
-        records = _simulate_block_range(
+        blocks = _simulate_block_range(
             np.asarray(nu_h.table), cfg.k, cfg.seed, 0, cfg.N_b
         )
 
-    cycles: list[CycleData] = []
-    n_blocks = 0
-    calib_stream = 1 << 48  # separate stream namespace from blocks
-    while n_blocks < cfg.N_b:
-        calib = simulate_calibration_counts(
-            nu_h, calib_trials, stream_rng(cfg.seed, calib_stream)
+    def calibration(n_trials: int, stream: int) -> CountsTable:
+        # calibration streams sit in their own namespace, apart from blocks
+        return simulate_calibration_counts(
+            nu_h, n_trials, stream_rng(cfg.seed, (1 << 48) + stream)
         )
-        calib_stream += 1
-        files = []
-        for _ in range(files_per_cycle):
-            blocks = records[n_blocks : n_blocks + blocks_per_file]
-            if not blocks:
-                break
-            n_blocks += len(blocks)
-            trail = simulate_calibration_counts(
-                nu_h, trailing_calib_trials, stream_rng(cfg.seed, calib_stream)
+
+    starts = range(0, cfg.N_b, blocks_per_file)
+    cycles = []
+    for c, f0 in enumerate(range(0, len(starts), files_per_cycle)):
+        stream = c * (files_per_cycle + 1)
+        files = tuple(
+            ExpansionFile(
+                blocks=blocks[a : a + blocks_per_file],
+                trailing_calibration=calibration(trailing_calib_trials, stream + 1 + j),
             )
-            calib_stream += 1
-            files.append(
-                ExpansionFile(blocks=tuple(blocks), trailing_calibration=trail)
-            )
-            if n_blocks >= cfg.N_b:
-                break
-        cycles.append(CycleData(calibration=calib, files=tuple(files)))
-    trials_recorded = sum(r.length for r in records)
+            for j, a in enumerate(starts[f0 : f0 + files_per_cycle])
+        )
+        cycles.append(CycleData(calibration(calib_trials, stream), files))
+    n_blocks = len(blocks)
+    trials_recorded = int(blocks.L.sum())
     summary = {
         "n_blocks": n_blocks,
         "trials_recorded": trials_recorded,
@@ -412,24 +525,10 @@ def _log2_pef_sums(tables, L, boe, pos, out, spot) -> np.ndarray:
     return totals
 
 
-def _block_columns(records: Sequence[BlockRecord]) -> tuple[np.ndarray, ...]:
-    """``(L, block_of_event, pos, out, spot)`` columns of recorded blocks."""
-    n = len(records)
-    L = np.fromiter((r.length for r in records), np.int64, n)
-    n_ev = np.fromiter((len(r.events) for r in records), np.int64, n)
-    spot = np.fromiter(
-        (4 * r.spot_settings + r.spot_outcome for r in records), np.int64, n
-    )
-    flat = chain.from_iterable(chain.from_iterable(r.events for r in records))
-    ev = np.fromiter(flat, np.int64, 2 * int(n_ev.sum())).reshape(-1, 2)
-    boe = np.repeat(np.arange(n), n_ev)
-    return L, boe, ev[:, 0], ev[:, 1], spot
-
-
 def block_log2_pef(record: BlockRecord, table: PefTable, tables=None) -> float:
     """log2 of the block PEF product, from the sparse record."""
     tabs = tables if tables is not None else _witness_tables(table)
-    return float(_log2_pef_sums(tabs, *_block_columns([record]))[0])
+    return float(_log2_pef_sums(tabs, *Blocks.from_records([record]).columns)[0])
 
 
 _WITNESS_CHUNK = 1 << 12  # blocks per draw; bounds memory at k=17
@@ -538,10 +637,10 @@ def accumulate(
                 raise ValueError("PEF table does not match the run configuration")
             tabs = _witness_tables(table)
             for fi, f in enumerate(cycles[ci].files):
-                cols = _block_columns(f.blocks[: cfg.N_b - state.N_run])
-                if (cols[0] > 2**cfg.k).any():
+                blocks = f.blocks[: cfg.N_b - state.N_run]
+                if (blocks.L > 2**cfg.k).any():
                     raise ValueError(f"cycle {ci}, file {fi}: block longer than 2^{cfg.k}")
-                inc = _log2_pef_sums(tabs, *cols) / cfg.beta
+                inc = _log2_pef_sums(tabs, *blocks.columns) / cfg.beta
                 # increments can be negative: G_run is not monotone
                 g_run = np.cumsum(np.concatenate(([state.G_run], inc)))[1:]
                 crossed = np.flatnonzero(g_run >= cfg.G_min)
@@ -576,82 +675,56 @@ def accumulate(
 
 _BLOCK_HEAD = struct.Struct("<IH")
 _MAX_EVENTS = 0xFFFF  # the header's u16 detection count
-_EVENT = struct.Struct("<IB")
+_EVENT = np.dtype([("pos", "<u4"), ("out", "u1")])  # packed, 5 bytes
 _SPOT = struct.Struct("<BB")
 
 
-def write_blocks(records: Iterable[BlockRecord], fh) -> int:
+def write_blocks(blocks: Blocks, fh) -> int:
     """Binary little-endian block stream; returns the number written.
 
-    A block header holds its detection count in 16 bits, so a block with
-    more than 65,535 detections raises ``ValueError`` before it is written.
+    Block ``b`` starts at byte ``8 b + 5 e`` for ``e`` events before it: a
+    6-byte header, 5 bytes per event and 2 spot bytes.  A block header
+    holds its detection count in 16 bits, so a block with more than
+    65,535 detections raises ``ValueError`` before it is written.
     """
-    n = 0
-    for rec in records:
-        if len(rec.events) > _MAX_EVENTS:
+    n_ev = np.bincount(blocks.block_of_event, minlength=len(blocks)).tolist()
+    events = np.empty(blocks.pos.size, _EVENT)
+    events["pos"], events["out"] = blocks.pos, blocks.out
+    start = 0
+    for b, (L, n, spot) in enumerate(zip(blocks.L.tolist(), n_ev, blocks.spot.tolist())):
+        if n > _MAX_EVENTS:
             raise ValueError(
-                f"block {n} has {len(rec.events)} detections; "
+                f"block {b} has {n} detections; "
                 f"the .blocks format holds at most {_MAX_EVENTS} per block"
             )
-        fh.write(_BLOCK_HEAD.pack(rec.length, len(rec.events)))
-        for pos, out in rec.events:
-            fh.write(_EVENT.pack(pos, out))
-        fh.write(_SPOT.pack(rec.spot_settings, rec.spot_outcome))
-        n += 1
-    return n
+        fh.write(_BLOCK_HEAD.pack(L, n))
+        fh.write(events[start : start + n].tobytes())
+        fh.write(_SPOT.pack(spot >> 2, spot & 3))
+        start += n
+    return len(blocks)
 
 
-def read_blocks(fh) -> list[BlockRecord]:
-    out = []
-    while True:
-        head = fh.read(_BLOCK_HEAD.size)
-        if not head:
-            break
-        if len(head) < _BLOCK_HEAD.size:
-            raise ValueError("truncated block stream")
-        length, n_ev = _BLOCK_HEAD.unpack(head)
-        body = fh.read(n_ev * _EVENT.size + _SPOT.size)
-        if len(body) < n_ev * _EVENT.size + _SPOT.size:
-            raise ValueError("truncated block stream")
-        s, o = _SPOT.unpack(body[-_SPOT.size :])
-        events = tuple(_EVENT.iter_unpack(body[: -_SPOT.size]))
-        out.append(
-            BlockRecord(length=length, events=events, spot_settings=s, spot_outcome=o)
-        )
-    return out
+def read_blocks(fh) -> Blocks:
+    """Decode a block stream into validated :class:`Blocks`.
 
-
-def blocks_to_jsonl(records: Iterable[BlockRecord]) -> str:
-    """Debug-friendly JSON-lines form of a block stream."""
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "l": rec.length,
-                    "events": [[p, o] for p, o in rec.events],
-                    "spot": [rec.spot_settings, rec.spot_outcome],
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def blocks_from_jsonl(text: str) -> list[BlockRecord]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        o = json.loads(line)
-        out.append(
-            BlockRecord(
-                length=int(o["l"]),
-                events=tuple((int(p), int(v)) for p, v in o["events"]),
-                spot_settings=int(o["spot"][0]),
-                spot_outcome=int(o["spot"][1]),
-            )
-        )
-    return out
+    Only the 6-byte headers are walked in Python; events and spot bytes
+    are gathered with numpy at the offsets the headers give.
+    """
+    data = fh.read()
+    heads, at = [], 0
+    while at + 6 <= len(data):
+        heads.append(_BLOCK_HEAD.unpack_from(data, at))
+        at += 8 + 5 * heads[-1][1]
+    if at != len(data):
+        raise ValueError("truncated block stream")
+    L, counts = np.array(heads, np.int64).reshape(-1, 2).T
+    raw = np.frombuffer(data, np.uint8)
+    boe = np.repeat(np.arange(L.size), counts)
+    first = 8 * boe + 5 * np.arange(boe.size) + 6
+    events = raw[first[:, None] + np.arange(5)].view(_EVENT)[:, 0]
+    spot_at = 8 * np.arange(L.size) + 5 * np.cumsum(counts) + 6
+    spot = raw[spot_at[:, None] + np.arange(2)].astype(np.int64)
+    return Blocks(L, boe, events["pos"], events["out"], _spot_codes(*spot.T))
 
 
 def write_dataset(cycles: Sequence[CycleData], path: str | Path, meta: dict) -> None:
@@ -674,21 +747,33 @@ def write_dataset(cycles: Sequence[CycleData], path: str | Path, meta: dict) -> 
             )
 
 
+def dataset_layout(path: str | Path) -> list[tuple[Path, list[tuple[Path, Path]]]]:
+    """Per ``cycle_*`` directory, in reading order: its calibration file and
+    the ``(expansion_*.blocks, expansion_*.calib.json)`` pair of each file."""
+    layout = []
+    for cdir in sorted(Path(path).glob("cycle_*")):
+        blocks = sorted(cdir.glob("expansion_*.blocks"))
+        pairs = [(b, b.with_suffix("").with_suffix(".calib.json")) for b in blocks]
+        layout.append((cdir / "calibration.json", pairs))
+    return layout
+
+
 def load_dataset(path: str | Path) -> tuple[list[CycleData], dict]:
+    """Read a dataset; a malformed expansion file's error names it."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     cycles = []
-    for cdir in sorted(root.glob("cycle_*")):
-        calib = CountsTable.from_json((cdir / "calibration.json").read_text())
+    for ci, (calib_path, pairs) in enumerate(dataset_layout(root)):
+        calib = CountsTable.from_json(calib_path.read_text())
         files = []
-        for bpath in sorted(cdir.glob("expansion_*.blocks")):
-            with open(bpath, "rb") as fh:
-                blocks = read_blocks(fh)
-            calib_path = bpath.with_suffix("").with_suffix(".calib.json")
-            trailing = CountsTable.from_json(calib_path.read_text())
-            files.append(
-                ExpansionFile(blocks=tuple(blocks), trailing_calibration=trailing)
-            )
+        for fi, (bpath, tpath) in enumerate(pairs):
+            try:
+                with open(bpath, "rb") as fh:
+                    blocks = read_blocks(fh)
+                trailing = CountsTable.from_json(tpath.read_text())
+            except ValueError as e:
+                raise ValueError(f"cycle {ci}, file {fi}: {e}") from None
+            files.append(ExpansionFile(blocks=blocks, trailing_calibration=trailing))
         cycles.append(CycleData(calibration=calib, files=tuple(files)))
     return cycles, manifest
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 
 from direx import cli, pef, planner, protocol
 from direx.data import commissioning_counts, commissioning_distribution
+from direx.model import ConditionalDistribution
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,43 @@ class TestSimulateAccumulate:
         assert len(err.strip().splitlines()) == 1
         assert "cycle 0, file 0" in err
 
+    @pytest.mark.parametrize("damage", ["event-outcome-0", "spot-settings-7", "truncated"])
+    def test_malformed_blocks_file_exit_2(self, workdir, capsys, damage):
+        dense = workdir / "dense.json"  # p_det = 0.75: most k=4 blocks hold events
+        dense.write_text(ConditionalDistribution(np.full((4, 4), 0.25)).to_json())
+        ds = workdir / f"damaged-{damage}"
+        code, _ = run(
+            capsys, "simulate", dense, "--k", "4", "--blocks", "40", "--seed", "3",
+            "--out", ds, "--threads", "1",
+        )
+        assert code == 0
+        path = ds / "cycle_0000" / "expansion_0000.blocks"
+        data = bytearray(path.read_bytes())
+        boe = protocol.read_blocks(io.BytesIO(bytes(data))).block_of_event
+        if damage == "event-outcome-0":
+            data[8 * boe[0] + 10] = 0  # the first event's outcome byte
+        elif damage == "spot-settings-7":
+            data[6 + 5 * int((boe == 0).sum())] = 7  # block 0's spot settings
+        else:
+            del data[-1]
+        path.write_bytes(bytes(data))
+        code = cli.main(
+            ["accumulate", str(ds), "--beta", "1e-6", "--gmin", "1", "--threads", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "cycle 0, file 0: " in err
+
+    def test_simulate_empty_files_exit_2(self, workdir, capsys):
+        code = cli.main(
+            ["simulate", str(workdir / "dist.json"), "--k", "4", "--blocks", "10",
+             "--blocks-per-file", "0", "--out", str(workdir / "empty-files")]
+        )
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "at least 1" in capsys.readouterr().err
+
     def test_block_over_65535_detections_exit_2(self, workdir, capsys, monkeypatch):
         big = protocol.BlockRecord(
             length=65_538,
@@ -177,7 +216,12 @@ class TestSimulateAccumulate:
         cycles = [
             protocol.CycleData(
                 calibration=calib,
-                files=(protocol.ExpansionFile(blocks=(big,), trailing_calibration=calib),),
+                files=(
+                    protocol.ExpansionFile(
+                        blocks=protocol.Blocks.from_records([big]),
+                        trailing_calibration=calib,
+                    ),
+                ),
             )
         ]
         monkeypatch.setattr(

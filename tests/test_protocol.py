@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -17,6 +18,7 @@ from direx.model import ConditionalDistribution, fit_mle
 from direx.protocol import (
     AccumulatorState,
     BlockRecord,
+    Blocks,
     CalibrationShortfallError,
     CycleData,
     ExpansionFile,
@@ -91,15 +93,27 @@ class TestSimulateBlock:
         sd = math.sqrt(len(recs) * 0.25 * 0.75)
         assert (np.abs(counts - len(recs) * 0.25) < 5 * sd).all()
 
-    def test_record_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            BlockRecord(length=5, events=((5, 1),), spot_settings=0, spot_outcome=0)
-        with pytest.raises(ValueError):
-            BlockRecord(length=5, events=((2, 0),), spot_settings=0, spot_outcome=0)
-        with pytest.raises(ValueError):
-            BlockRecord(
-                length=5, events=((3, 1), (2, 1)), spot_settings=0, spot_outcome=0
-            )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(length=5, events=((5, 1),)), "event position outside 1..L-1"),
+            (dict(length=5, events=((2, 0),)), "event outcome is not a detection"),
+            (dict(length=5, events=((3, 1), (2, 1))), "positions not strictly increasing"),
+            (dict(length=5, events=((2, 1), (2, 3))), "positions not strictly increasing"),
+            (dict(length=0, events=()), "length below 1"),
+            (dict(length=5, events=(), spot_settings=4), "spot settings or outcome"),
+            (dict(length=5, events=(), spot_outcome=4), "spot settings or outcome"),
+        ],
+        ids=[
+            "pos-at-L", "outcome-0", "decreasing", "duplicate", "L-0",
+            "settings-4", "outcome-4",
+        ],
+    )
+    def test_record_invariants_enforced(self, bad, message):
+        ok = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
+        rec = BlockRecord(**{"spot_settings": 0, "spot_outcome": 0, **bad})
+        with pytest.raises(ValueError, match=f"^block 1: .*{message}"):
+            Blocks.from_records([ok, rec, ok])
 
 
 class TestDeterminism:
@@ -190,7 +204,7 @@ def _cycles_from_records(nu, records, calib_trials=50_000, files=2, seed=5):
             calibration=simulate_calibration_counts(nu, calib_trials, rng),
             files=tuple(
                 ExpansionFile(
-                    blocks=tuple(ch),
+                    blocks=Blocks.from_records(ch),
                     trailing_calibration=simulate_calibration_counts(nu, 2000, rng),
                 )
                 for ch in chunks
@@ -305,7 +319,7 @@ class TestAccumulate:
             calibration=simulate_calibration_counts(nu, 30_000, rng),
             files=tuple(
                 ExpansionFile(
-                    blocks=tuple(records[i : i + 10]),
+                    blocks=Blocks.from_records(records[i : i + 10]),
                     trailing_calibration=simulate_calibration_counts(nu, 4_000, rng),
                 )
                 for i in range(0, 30, 10)
@@ -315,7 +329,7 @@ class TestAccumulate:
             calibration=simulate_calibration_counts(nu, 2_000, rng),
             files=(
                 ExpansionFile(
-                    blocks=tuple(records[30:40]),
+                    blocks=Blocks.from_records(records[30:40]),
                     trailing_calibration=simulate_calibration_counts(nu, 1_000, rng),
                 ),
             ),
@@ -467,42 +481,65 @@ class TestVectorizedWitness:
         assert abs(slow.mean() - rep.g_block) < 4 * se_slow
 
 
+def _record(length, s, o, ev):
+    events = tuple(sorted({p: out for p, out in ev if p < length}.items()))
+    return BlockRecord(length=length, events=events, spot_settings=s, spot_outcome=o)
+
+
+_valid_records = st.lists(
+    st.builds(
+        _record,
+        st.integers(1, 64),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(1, 63), st.integers(1, 3)), max_size=5),
+    ),
+    max_size=20,
+)
+
+
+def _decodes_or_rejects(data: bytes) -> None:
+    """``read_blocks`` either re-encodes to ``data`` exactly or raises ValueError."""
+    try:
+        blocks = protocol.read_blocks(io.BytesIO(data))
+    except ValueError:
+        return
+    buf = io.BytesIO()
+    protocol.write_blocks(blocks, buf)
+    assert buf.getvalue() == data
+
+
 class TestWireFormats:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(1, 64),
-                st.integers(0, 3),
-                st.integers(0, 3),
-                st.lists(st.tuples(st.integers(1, 63), st.integers(1, 3)), max_size=5),
-            ),
-            max_size=20,
-        )
-    )
+    @given(_valid_records)
     @settings(max_examples=40, deadline=None)
-    def test_binary_roundtrip(self, raw):
-        records = []
-        for length, s, o, ev in raw:
-            ev = sorted({p: out for p, out in ev if p < length}.items())
-            records.append(
-                BlockRecord(
-                    length=length,
-                    events=tuple(ev),
-                    spot_settings=s,
-                    spot_outcome=o,
-                )
-            )
+    def test_binary_roundtrip(self, records):
         buf = io.BytesIO()
-        protocol.write_blocks(records, buf)
+        protocol.write_blocks(Blocks.from_records(records), buf)
         buf.seek(0)
-        assert protocol.read_blocks(buf) == records
-        text = protocol.blocks_to_jsonl(records)
-        assert protocol.blocks_from_jsonl(text) == records
+        assert list(protocol.read_blocks(buf)) == records
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_read_blocks_fuzz_arbitrary_bytes(self, data):
+        _decodes_or_rejects(data)
+
+    @given(_valid_records, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_read_blocks_fuzz_damaged_streams(self, records, draw):
+        buf = io.BytesIO()
+        protocol.write_blocks(Blocks.from_records(records), buf)
+        data = bytearray(buf.getvalue())
+        if data and draw.draw(st.booleans(), label="mutate"):
+            i = draw.draw(st.integers(0, len(data) - 1), label="at")
+            data[i] = draw.draw(st.integers(0, 255), label="byte")
+        else:
+            del data[draw.draw(st.integers(0, len(data)), label="cut") :]
+        _decodes_or_rejects(bytes(data))
 
     def test_truncated_stream_rejected(self):
         rec = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
         buf = io.BytesIO()
-        protocol.write_blocks([rec], buf)
+        protocol.write_blocks(Blocks.from_records([rec]), buf)
         data = buf.getvalue()
         # inside the head, inside the event (twice), inside the spot bytes
         for cut in (3, 8, 10, len(data) - 1):
@@ -519,8 +556,8 @@ class TestWireFormats:
         )
         buf = io.BytesIO()
         with pytest.raises(ValueError, match="block 1 has 65536 detections"):
-            protocol.write_blocks([ok, big], buf)
-        assert protocol.read_blocks(io.BytesIO(buf.getvalue())) == [ok]
+            protocol.write_blocks(Blocks.from_records([ok, big]), buf)
+        assert list(protocol.read_blocks(io.BytesIO(buf.getvalue()))) == [ok]
 
     def test_dataset_roundtrip(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
@@ -542,13 +579,22 @@ class TestWireFormats:
 
 
 class TestThreadIndependence:
-    def test_dataset_identical_across_thread_counts(self, commissioning):
+    def test_dataset_identical_across_thread_counts(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
         cfg = RunConfig(k=5, beta=1e-6, G_min=1e18, N_b=600, n_calib_min=1, seed=55)
         c1, s1 = simulate_dataset(nu, cfg, 128, 3, 20_000, 2_000, threads=1)
         c2, s2 = simulate_dataset(nu, cfg, 128, 3, 20_000, 2_000, threads=2)
         assert c1 == c2
         assert s1 == s2
+        # the realisation itself is pinned: these are the bytes of its 5 files
+        for threads, cycles in ((1, c1), (2, c2)):
+            protocol.write_dataset(cycles, tmp_path / str(threads), {"k": 5})
+            files = sorted((tmp_path / str(threads)).glob("cycle_*/expansion_*.blocks"))
+            digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+            assert len(files) == 5
+            assert digest == (
+                "74bd59dde8946dd3d9ff2a4ecd2f3fa6658d66eeacc0fd8aefad40e49ca0b46c"
+            )
 
     def test_accumulate_identical_with_pipelining(self, commissioning, small_table):
         nu = commissioning["distribution"]
