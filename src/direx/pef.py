@@ -393,14 +393,17 @@ def block_gain(
     n = table.n_positions
     j = np.arange(1, n + 1, dtype=np.float64)
     q = 1.0 / (n - j + 1.0)
-    log2f = table._log2_f(q)
-    w = _cell_input_weights(q)
-    w *= nu_h.table.ravel()[None, :]
     omega = (n - j + 1.0) / n
-
-    m_j = np.einsum("ji,ji->j", w, log2f)
-    m00 = log2f[:, :4] @ nu_h.table[0]  # E[log2 F_j | z = 00]
-    s_j = np.einsum("ji,ji->j", w, np.square(log2f, out=log2f))
+    m_j, m00, s_j = np.empty(n), np.empty(n), np.empty(n)
+    # moments over bounded runs of rows: no (2^k, 16) temporaries at k=17
+    for a in range(0, n, _ROWS):
+        rows = slice(a, a + _ROWS)
+        w = _cell_input_weights(q[rows])
+        log2f = table._log2_f(q[rows], w * 4.0)
+        w *= nu_h.table.ravel()[None, :]
+        m_j[rows] = np.einsum("ji,ji->j", w, log2f)
+        m00[rows] = log2f[:, :4] @ nu_h.table[0]  # E[log2 F_j | z = 00]
+        s_j[rows] = np.einsum("ji,ji->j", w, np.square(log2f, out=log2f))
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
 
     e1 = float(omega @ m_j)

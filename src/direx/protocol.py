@@ -29,13 +29,13 @@ import json
 import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from direx.model import ConditionalDistribution, CountsTable, fit_mle
-from direx.pef import PefTable
+from direx.pef import PefTable, is_valid_pef
 
 __all__ = [
     "BlockRecord",
@@ -79,6 +79,12 @@ class ProtocolFailure(RuntimeError):
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for an independent, reproducible stream."""
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+
+
+#: a seed's streams lie in disjoint ranges of 2^48: witness runs take theirs
+#: as given below 2^48, calibration counts and dataset chunks the next two
+_CALIB_STREAMS, _CHUNK_STREAMS = 1 << 48, 2 << 48
+_CHUNK = 1 << 12  # blocks per draw and per dataset stream; bounds memory at k=17
 
 
 class _EventsView:
@@ -273,13 +279,7 @@ class AccumulatorState:
     stop_block: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "G_run": self.G_run,
-            "N_run": self.N_run,
-            "bits_consumed": self.bits_consumed,
-            "succeeded": self.succeeded,
-            "stop_block": self.stop_block,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -418,11 +418,13 @@ def simulate_calibration_counts(
 
 def _simulate_block_range(
     table: np.ndarray, k: int, seed: int, start: int, stop: int
-) -> Blocks:
-    """Blocks ``start..stop-1`` on their per-index streams (pool worker)."""
-    return _join(
-        [_sample_blocks(table, k, 1, stream_rng(seed, i)) for i in range(start, stop)]
-    )
+) -> list[tuple[np.ndarray, ...]]:
+    """Columns of blocks ``start..stop-1``, ``start`` a multiple of ``_CHUNK``:
+    chunk ``c`` (blocks from ``c * _CHUNK``) is one draw on its own stream."""
+    return [
+        _sample_blocks(table, k, min(_CHUNK, stop - a), stream_rng(seed, _CHUNK_STREAMS + c))
+        for c, a in enumerate(range(start, stop, _CHUNK), start // _CHUNK)
+    ]
 
 
 def simulate_dataset(
@@ -436,41 +438,33 @@ def simulate_dataset(
 ) -> tuple[list[CycleData], dict]:
     """Materialise an honest dataset in the cycle/file layout.
 
-    Blocks are drawn on per-block streams keyed by ``(seed, block index)``,
-    so the dataset is bit-identical no matter how the work is sharded;
-    ``threads > 1`` simulates block ranges on a process pool.  Calibration
-    counts get their own stream namespace.  Returns the cycles and a
-    wall-clock summary that includes dead-time trials (skipped after each
-    spot check, never recorded or analysed).
+    Blocks are drawn ``_CHUNK`` at a time on per-chunk streams keyed by
+    ``(seed, chunk index)``, so the dataset is bit-identical no matter how
+    the work is sharded; ``threads > 1`` simulates runs of whole chunks on
+    a process pool.  Calibration counts get their own stream range.
+    Returns the cycles and a wall-clock summary that includes dead-time
+    trials (skipped after each spot check, never recorded or analysed).
     """
     if blocks_per_file < 1 or files_per_cycle < 1:
         raise ValueError("blocks_per_file and files_per_cycle must be at least 1")
-    if threads > 1:
+    table = np.asarray(nu_h.table)
+    shard = -(-cfg.N_b // (_CHUNK * max(threads, 1))) * _CHUNK  # whole chunks
+    ranges = [(a, min(a + shard, cfg.N_b)) for a in range(0, cfg.N_b, shard)]
+    if len(ranges) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        shard = max(256, cfg.N_b // (4 * threads) + 1)
-        ranges = [
-            (i, min(i + shard, cfg.N_b)) for i in range(0, cfg.N_b, shard)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                _simulate_block_range,
-                [np.asarray(nu_h.table)] * len(ranges),
-                [cfg.k] * len(ranges),
-                [cfg.seed] * len(ranges),
-                [a for a, _ in ranges],
-                [b for _, b in ranges],
-            )
-            blocks = _join([part.columns for part in parts])
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            shards = [
+                pool.submit(_simulate_block_range, table, cfg.k, cfg.seed, a, b)
+                for a, b in ranges
+            ]
+            blocks = _join([cols for s in shards for cols in s.result()])
     else:
-        blocks = _simulate_block_range(
-            np.asarray(nu_h.table), cfg.k, cfg.seed, 0, cfg.N_b
-        )
+        blocks = _join(_simulate_block_range(table, cfg.k, cfg.seed, 0, cfg.N_b))
 
     def calibration(n_trials: int, stream: int) -> CountsTable:
-        # calibration streams sit in their own namespace, apart from blocks
         return simulate_calibration_counts(
-            nu_h, n_trials, stream_rng(cfg.seed, (1 << 48) + stream)
+            nu_h, n_trials, stream_rng(cfg.seed, _CALIB_STREAMS + stream)
         )
 
     starts = range(0, cfg.N_b, blocks_per_file)
@@ -531,9 +525,6 @@ def block_log2_pef(record: BlockRecord, table: PefTable, tables=None) -> float:
     return float(_log2_pef_sums(tabs, *Blocks.from_records([record]).columns)[0])
 
 
-_WITNESS_CHUNK = 1 << 12  # blocks per draw; bounds memory at k=17
-
-
 def simulate_run_witness(
     table: PefTable,
     nu_h: ConditionalDistribution,
@@ -548,11 +539,13 @@ def simulate_run_witness(
     columnar sampler as :func:`simulate_block` and summed by the witness
     kernel that :func:`accumulate` applies to recorded blocks.
     """
+    if not 0 <= stream < _CALIB_STREAMS:
+        raise ValueError("witness stream must lie in 0..2^48-1")
     rng = stream_rng(seed, stream)
     tabs = _witness_tables(table)
     out = np.empty(n_blocks)
-    for done in range(0, n_blocks, _WITNESS_CHUNK):
-        m = min(_WITNESS_CHUNK, n_blocks - done)
+    for done in range(0, n_blocks, _CHUNK):
+        m = min(_CHUNK, n_blocks - done)
         cols = _sample_blocks(nu_h.table, table.k, m, rng)
         out[done : done + m] = _log2_pef_sums(tabs, *cols)
     return out / table.beta
@@ -599,7 +592,8 @@ def accumulate(
 
     Per cycle, the honest-device distribution is refitted from the usable
     calibration counts and ``pef_builder`` turns it into the per-position
-    table (the power must match ``cfg.beta``).  Blocks then update the
+    table (the power must match ``cfg.beta`` and every anchor be a valid
+    PEF at the polytope's vertices).  Blocks then update the
     running witness; the threshold test runs per block or per file
     according to ``cfg.check_granularity``.  Returns the final state and
     the witness trace, one row ``(block_index, G_run, bits_consumed)`` per
@@ -634,7 +628,9 @@ def accumulate(
                 else None
             )
             if table.k != cfg.k or not math.isclose(table.beta, cfg.beta):
-                raise ValueError("PEF table does not match the run configuration")
+                raise ValueError(f"cycle {ci}: PEF table does not match the run configuration")
+            if not all(is_valid_pef(a, a.position_q) for a in table.anchors):
+                raise ValueError(f"cycle {ci}: PEF table anchor fails the PEF inequality")
             tabs = _witness_tables(table)
             for fi, f in enumerate(cycles[ci].files):
                 blocks = f.blocks[: cfg.N_b - state.N_run]

@@ -205,6 +205,49 @@ class TestSimulateAccumulate:
         assert code == cli.EXIT_INPUT_ERROR
         assert "at least 1" in capsys.readouterr().err
 
+    def test_simulate_identical_bytes_across_threads(self, workdir, capsys):
+        # three chunks: two shards on a process pool at --threads 2
+        files = {}
+        for threads in (1, 2):
+            ds = workdir / f"threads-{threads}"
+            code, _ = run(
+                capsys, "simulate", workdir / "dist.json", "--k", "3", "--blocks",
+                3 * protocol._CHUNK - 100, "--seed", "9", "--blocks-per-file", "2000",
+                "--out", ds, "--threads", threads,
+            )
+            assert code == 0
+            files[threads] = {
+                p.relative_to(ds): p.read_bytes()
+                for p in sorted(ds.glob("cycle_*/*"))
+            }
+        assert sum(p.suffix == ".blocks" for p in files[1]) == 7
+        assert files[1] == files[2]
+
+    def test_invalid_pef_table_exit_2(self, workdir, capsys, monkeypatch):
+        ds = workdir / "invalid-pef"
+        code, _ = run(
+            capsys, "simulate", workdir / "dist.json", "--k", "4",
+            "--blocks", "40", "--seed", "3", "--out", ds, "--threads", "1",
+        )
+        assert code == 0
+        build = pef.build_pef_table
+
+        def cheating(*args, **kwargs):
+            table = build(*args, **kwargs)
+            a = table.anchors[2]
+            raised = pef.TrialPef.from_excess(a.excess + 1.0, a.beta, a.position_q)
+            return pef.PefTable(table.k, table.beta, table.j_mid, (*table.anchors[:2], raised))
+
+        monkeypatch.setattr(pef, "build_pef_table", cheating)
+        code = cli.main(
+            ["accumulate", str(ds), "--beta", "1e-6", "--gmin", "1", "--threads", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "cycle 0: PEF table anchor fails the PEF inequality" in err
+
     def test_block_over_65535_detections_exit_2(self, workdir, capsys, monkeypatch):
         big = protocol.BlockRecord(
             length=65_538,

@@ -406,7 +406,8 @@ def _masked_log2_f(table, positions):
     return np.log1p(table.beta * _masked_excess_at(table, positions)) / LN2
 
 
-def _former_block_gain(table, nu_h) -> tuple[float, float]:
+def _former_block_gain(table, nu_h) -> tuple[float, float, np.ndarray]:
+    """The former ``block_gain``: full ``(2^k, 16)`` arrays; rate, variance, per position."""
     n = table.n_positions
     j = np.arange(1, n + 1, dtype=np.float64)
     q = 1.0 / (n - j + 1.0)
@@ -419,7 +420,7 @@ def _former_block_gain(table, nu_h) -> tuple[float, float]:
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
     e1 = float(omega @ m_j)
     e2 = float(omega @ s_j + 2.0 * (omega * m_j) @ prefix)
-    return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0)
+    return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0), m_j / table.beta
 
 
 def _former_estimate(table, nu_h, n_samples=2048) -> float:
@@ -510,4 +511,14 @@ class TestBatchedBuild:
         )
         for t in (production_table, small_table):
             rep = pef.block_gain(t, nu)
-            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)
+            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)[:2]
+
+    def test_block_gain_row_runs_match_full_arrays(self, design):
+        """Moments summed a run of rows at a time equal the full-array sums bit for bit."""
+        nu = design["distribution"]
+        betas = [1e-9, PAPER_BETA, 3e-6]
+        for t in pef.build_pef_tables(nu, betas, PAPER_K, j_mid=PAPER_J_MID):
+            rep = pef.block_gain(t, nu, keep_per_position=True)
+            g, var, per = _former_block_gain(t, nu)
+            assert (rep.g_block, rep.var_block) == (g, var)
+            assert rep.per_position_gain.tobytes() == per.tobytes()

@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,37 @@ class TestDeterminism:
         assert not (w1 == w3).all()
 
 
+class TestStreams:
+    def test_no_two_uses_share_a_key(self, commissioning, small_table, monkeypatch):
+        nu = commissioning["distribution"]
+        keys: dict[str, list[int]] = {"dataset": [], "witness": []}
+        draw = protocol.stream_rng
+
+        def recording(seed, stream=0):
+            keys[use].append((seed, stream))
+            return draw(seed, stream)
+
+        monkeypatch.setattr(protocol, "stream_rng", recording)
+        use = "dataset"
+        cfg = RunConfig(k=3, beta=1e-6, G_min=1.0, N_b=3 * protocol._CHUNK, n_calib_min=1, seed=8)
+        simulate_dataset(nu, cfg, protocol._CHUNK, 1, 1000, 100)
+        use = "witness"
+        for stream in range(8):
+            simulate_run_witness(small_table, nu, 10, seed=8, stream=stream)
+        streams = sorted(s for _, s in keys["dataset"])
+        calib = protocol._CALIB_STREAMS
+        chunks = protocol._CHUNK_STREAMS
+        assert streams == [calib + i for i in range(6)] + [chunks + c for c in range(3)]
+        assert keys["witness"] == [(8, s) for s in range(8)]
+        all_keys = keys["dataset"] + keys["witness"]
+        assert len(set(all_keys)) == len(all_keys) == 17
+
+    @pytest.mark.parametrize("stream", [-1, 1 << 48])
+    def test_witness_stream_outside_its_range_rejected(self, commissioning, small_table, stream):
+        with pytest.raises(ValueError, match="witness stream"):
+            simulate_run_witness(small_table, commissioning["distribution"], 10, 1, stream)
+
+
 class TestAccounting:
     def test_consumed_bits_production_numbers(self):
         assert consumed_bits(49_977_714, 17) == 949_576_566
@@ -248,6 +280,17 @@ class TestAccumulate:
         assert not state.succeeded
         assert state.G_run == 0.0
         assert state.N_run == 400
+
+    def test_invalid_pef_table_rejected(self, sim, small_table):
+        nu, records = sim
+        cycles = _cycles_from_records(nu, records)
+        a = small_table.anchors[1]
+        raised = pef.TrialPef.from_excess(a.excess + 1.0, a.beta, a.position_q)
+        bad = dataclasses.replace(small_table, anchors=(small_table.anchors[0], raised, a))
+        cfg = RunConfig(k=6, beta=small_table.beta, G_min=1e18, N_b=400, n_calib_min=1, seed=0)
+        accumulate(cycles, cfg, lambda nu_h: small_table)
+        with pytest.raises(ValueError, match="^cycle 0: PEF table anchor fails the PEF inequality$"):
+            accumulate(cycles, cfg, lambda nu_h: bad)
 
     def test_sparse_dense_equivalence(self, sim, small_table, dense_sim):
         _, records = sim
@@ -581,20 +624,25 @@ class TestWireFormats:
 class TestThreadIndependence:
     def test_dataset_identical_across_thread_counts(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
-        cfg = RunConfig(k=5, beta=1e-6, G_min=1e18, N_b=600, n_calib_min=1, seed=55)
-        c1, s1 = simulate_dataset(nu, cfg, 128, 3, 20_000, 2_000, threads=1)
-        c2, s2 = simulate_dataset(nu, cfg, 128, 3, 20_000, 2_000, threads=2)
-        assert c1 == c2
-        assert s1 == s2
-        # the realisation itself is pinned: these are the bytes of its 5 files
-        for threads, cycles in ((1, c1), (2, c2)):
-            protocol.write_dataset(cycles, tmp_path / str(threads), {"k": 5})
-            files = sorted((tmp_path / str(threads)).glob("cycle_*/expansion_*.blocks"))
-            digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
-            assert len(files) == 5
-            assert digest == (
-                "74bd59dde8946dd3d9ff2a4ecd2f3fa6658d66eeacc0fd8aefad40e49ca0b46c"
-            )
+        # 2.5 chunks: three shards at threads=3, two at threads=2, last one partial
+        n_b = 2 * protocol._CHUNK + 2_100
+        cfg = RunConfig(k=5, beta=1e-6, G_min=1e18, N_b=n_b, n_calib_min=1, seed=55)
+        runs = {t: simulate_dataset(nu, cfg, 1000, 4, 20_000, 2_000, threads=t) for t in (1, 2, 3)}
+        assert runs[1] == runs[2] == runs[3]
+        # chunk c is one draw on the stream of (seed, chunk c)
+        whole = protocol._join([f.blocks.columns for c in runs[1][0] for f in c.files])
+        for c, m in ((1, protocol._CHUNK), (2, 2_100)):
+            rng = stream_rng(55, protocol._CHUNK_STREAMS + c)
+            drawn = Blocks(*protocol._sample_blocks(nu.table, 5, m, rng))
+            assert whole[c * protocol._CHUNK : c * protocol._CHUNK + m] == drawn
+        # the realisation itself is pinned: these are the bytes of its 11 files
+        protocol.write_dataset(runs[1][0], tmp_path, {"k": 5})
+        files = sorted(tmp_path.glob("cycle_*/expansion_*.blocks"))
+        digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        assert len(files) == 11
+        assert digest == (
+            "8b13fdcb77268e6f8ee34695351aa82af6431e004217c71e7333d1ba934fc2dd"
+        )
 
     def test_accumulate_identical_with_pipelining(self, commissioning, small_table):
         nu = commissioning["distribution"]
@@ -643,3 +691,66 @@ class TestDenseDetections:
             at_risk = int((L > j).sum())
             sd = math.sqrt(at_risk * 0.75 * 0.25)
             assert abs(hits[j] - 0.75 * at_risk) < 5 * sd, j
+
+
+def _chi2_tail(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Upper tail of Pearson's chi-square, cells expecting < 5 pooled into one."""
+    small = expected < 5
+    obs, exp = observed[~small], expected[~small]
+    if small.any():
+        obs = np.append(obs, observed[small].sum())
+        exp = np.append(exp, expected[small].sum())
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return float(mpmath.gammainc((obs.size - 1) / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+#: a sparse source at the production k: one detection per 2^13 trials keeps
+#: 2^18 blocks in about 50 MB, and rows 01..11 fill every spot cell
+LAW_SOURCE = ConditionalDistribution(
+    np.array(
+        [
+            [1 - 2.0**-13, 0.3 * 2.0**-13, 0.3 * 2.0**-13, 0.4 * 2.0**-13],
+            [0.4, 0.3, 0.2, 0.1],
+            [0.1, 0.2, 0.3, 0.4],
+            [0.25, 0.05, 0.45, 0.25],
+        ]
+    )
+)
+
+LAW_P_MIN = 1e-6  # every chi-square tail must exceed this
+
+
+class TestSamplerLawK17:
+    """``simulate_dataset`` at k=17 against the exact law, by chi-square."""
+
+    N_B = 1 << 18
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        cfg = RunConfig(k=17, beta=1e-6, G_min=1.0, N_b=self.N_B, n_calib_min=1, seed=2024)
+        cycles, _ = simulate_dataset(LAW_SOURCE, cfg, self.N_B, 1, 1, 1)
+        return cycles[0].files[0].blocks
+
+    def test_lengths_uniform(self, blocks):
+        observed = np.bincount((blocks.L - 1) >> 11, minlength=64)  # 64 bins of 2^11
+        assert observed.size == 64
+        assert _chi2_tail(observed, np.full(64, self.N_B / 64)) > LAW_P_MIN
+
+    def test_spot_cells(self, blocks):
+        observed = np.bincount(blocks.spot, minlength=16)
+        expected = self.N_B * LAW_SOURCE.table.ravel() / 4
+        assert _chi2_tail(observed, expected) > LAW_P_MIN
+
+    def test_detection_counts_binomial(self, blocks):
+        p = 1.0 - LAW_SOURCE.table[0, 0]
+        counts = np.bincount(blocks.block_of_event, minlength=self.N_B)
+        n = blocks.L - 1
+        # sum over blocks of Binomial(L - 1, p) pmfs, by the ratio recursion
+        pmf = np.exp(n * math.log1p(-p))
+        expected = []
+        for c in range(int(counts.max()) + 1):
+            expected.append(pmf.sum())
+            pmf = pmf * np.maximum(n - c, 0) / (c + 1) * (p / (1 - p))
+        expected[-1] += self.N_B - sum(expected)  # the tail beyond the largest count
+        observed = np.bincount(counts)
+        assert _chi2_tail(observed, np.array(expected)) > LAW_P_MIN
