@@ -147,7 +147,7 @@ class TestDeterminism:
 class TestStreams:
     def test_no_two_uses_share_a_key(self, commissioning, small_table, monkeypatch):
         nu = commissioning["distribution"]
-        keys: dict[str, list[int]] = {"dataset": [], "witness": []}
+        keys: dict[str, list[tuple[int, int]]] = {"dataset": [], "witness": []}
         draw = protocol.stream_rng
 
         def recording(seed, stream=0):
