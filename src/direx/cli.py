@@ -135,7 +135,7 @@ def _load_distribution(path: str) -> model.ConditionalDistribution:
 
 def cmd_fit(args) -> int:
     counts = _load_counts(args.counts)
-    dist = model.fit_mle(counts)
+    dist, rel_gap = model._fit_mle(counts)
     if args.format == "csv":
         out = dist.to_csv()
         if args.output:
@@ -145,6 +145,7 @@ def cmd_fit(args) -> int:
         return EXIT_OK
     obj = json.loads(dist.to_json())
     obj["log_likelihood"] = model.log_likelihood(counts, dist)
+    obj["mle_rel_gap"] = rel_gap
     RunManifest.resolve("fit", args, [Path(args.counts)]).stamp(obj)
     _emit(obj, args)
     return EXIT_OK
@@ -152,9 +153,9 @@ def cmd_fit(args) -> int:
 
 def cmd_strength(args) -> int:
     dist = _load_distribution(args.distribution)
-    s = model.statistical_strength(dist)
+    s, rel_gap = model._statistical_strength(dist)
     manifest = RunManifest.resolve("strength", args, [Path(args.distribution)])
-    _emit(manifest.stamp({"statistical_strength_bits": s}), args)
+    _emit(manifest.stamp({"statistical_strength_bits": s, "strength_rel_gap": rel_gap}), args)
     return EXIT_OK
 
 

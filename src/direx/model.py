@@ -19,6 +19,7 @@ Canonical layout used throughout the package:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -71,6 +72,67 @@ class MleConvergenceError(RuntimeError):
         self.gap = gap
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _csv_cells(text: str) -> dict[tuple[int, int], str]:
+    """The value field of each ``x,y,a,b,<value>`` CSV row, by table cell.
+
+    Labels must be 0 or 1 and no cell may repeat; anything else malformed
+    raises ``ValueError``.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as e:
+        raise ValueError(f"malformed CSV: {e}") from None
+    header = [h.strip() for h in rows[0]] if rows else []
+    if len(header) < 5 or header[:4] != ["x", "y", "a", "b"]:
+        raise ValueError("expected header x,y,a,b,<value>")
+    cells: dict[tuple[int, int], str] = {}
+    for n, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) < 5:
+            raise ValueError(f"row {n}: expected x,y,a,b,<value>")
+        x, y, a, b = (int(v) for v in row[:4])
+        if not {x, y, a, b} <= {0, 1}:
+            raise ValueError(f"row {n}: labels must be 0 or 1")
+        cell = (pair_index(x, y), pair_index(a, b))
+        if cell in cells:
+            raise ValueError(f"row {n}: repeated cell x={x},y={y},a={a},b={b}")
+        cells[cell] = row[4]
+    return cells
+
+
+def _json_table(text: str, key: str) -> list:
+    """The 4x4 array of numbers under ``key`` in a JSON object."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    rows = obj[key]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == 4
+        and all(isinstance(r, list) and len(r) == 4 for r in rows)
+    ):
+        raise ValueError(f"{key!r} must be a 4x4 array")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for r in rows for v in r):
+        raise ValueError(f"{key!r} entries must be numbers")
+    return rows
+
+
+def _count(v: int | float) -> int:
+    """A count as a Python int in int64 range, or ``ValueError``."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"counts must be nonnegative integers, got {v}")
+    if not 0 <= v <= _INT64_MAX:
+        raise ValueError(f"counts must lie in 0..2^63-1, got {v}")
+    return int(v)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.setflags(write=False)
@@ -91,6 +153,8 @@ class ConditionalDistribution:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != (4, 4):
             raise ValueError(f"expected a (4, 4) table, got shape {t.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError("probabilities must be finite")
         if (t < -NORMALIZATION_TOL).any():
             raise ValueError("probabilities must be nonnegative")
         sums = t.sum(axis=1)
@@ -140,8 +204,11 @@ class ConditionalDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "ConditionalDistribution":
-        obj = json.loads(text)
-        return cls(np.array(obj["p"], dtype=np.float64))
+        rows = _json_table(text, "p")
+        try:
+            return cls(np.array(rows, dtype=np.float64))
+        except OverflowError as e:
+            raise ValueError(f"probability out of range: {e}") from None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -155,15 +222,8 @@ class ConditionalDistribution:
     @classmethod
     def from_csv(cls, text: str) -> "ConditionalDistribution":
         t = np.zeros((4, 4))
-        rd = csv.reader(io.StringIO(text))
-        header = next(rd)
-        if [h.strip() for h in header[:4]] != ["x", "y", "a", "b"]:
-            raise ValueError("expected header x,y,a,b,<value>")
-        for row in rd:
-            if not row:
-                continue
-            x, y, a, b = (int(v) for v in row[:4])
-            t[pair_index(x, y), pair_index(a, b)] = float(row[4])
+        for cell, value in _csv_cells(text).items():
+            t[cell] = float(value)
         return cls(t)
 
 
@@ -180,6 +240,8 @@ class CountsTable:
             raise ValueError(f"expected a (4, 4) counts table, got {c.shape}")
         if (c < 0).any() or not np.equal(np.mod(c, 1), 0).all():
             raise ValueError("counts must be nonnegative integers")
+        if sum(int(v) for v in c.ravel()) > _INT64_MAX:
+            raise ValueError("counts must total at most 2^63 - 1")
         c = np.ascontiguousarray(c, dtype=np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
@@ -213,8 +275,8 @@ class CountsTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CountsTable":
-        obj = json.loads(text)
-        return cls(np.array(obj["counts"], dtype=np.int64))
+        rows = _json_table(text, "counts")
+        return cls(np.array([[_count(v) for v in row] for row in rows], dtype=np.int64))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -228,15 +290,8 @@ class CountsTable:
     @classmethod
     def from_csv(cls, text: str) -> "CountsTable":
         c = np.zeros((4, 4), dtype=np.int64)
-        rd = csv.reader(io.StringIO(text))
-        header = next(rd)
-        if [h.strip() for h in header[:4]] != ["x", "y", "a", "b"]:
-            raise ValueError("expected header x,y,a,b,count")
-        for row in rd:
-            if not row:
-                continue
-            x, y, a, b = (int(v) for v in row[:4])
-            c[pair_index(x, y), pair_index(a, b)] = int(row[4])
+        for cell, value in _csv_cells(text).items():
+            c[cell] = _count(int(value))
         return cls(c)
 
 
@@ -402,97 +457,129 @@ def is_member_T(d: ConditionalDistribution, tol: float = MEMBERSHIP_TOL) -> bool
 
 
 # ---------------------------------------------------------------------------
-# likelihood maximisation over a convex hull
+# likelihood maximisation over the polytope
 # ---------------------------------------------------------------------------
 
 
-def _maximize_mixture_loglik(
-    weights: np.ndarray,
-    vertices: np.ndarray,
-    gap_tol,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Maximise ``sum_i w_i log(mu_i)`` over ``mu`` in conv(vertices).
+@functools.cache
+def _barrier_system() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(N, C, C @ N)`` for the barrier solver, built on first use.
 
-    Multiplicative (EM) updates on the mixture weights; the Frank-Wolfe
-    linearisation supplies a duality-gap certificate at every step.
-    ``gap_tol`` maps the current objective to the acceptable absolute gap.
-    Returns ``(lam, mu, gap, objective_history)``; ``gap`` bounds the
-    objective suboptimality from above.
+    ``N`` is an orthonormal (16, 8) basis of the null space of
+    :func:`_equality_system` and ``C`` the 8 CHSH rows acting on flat
+    16-vectors, so that ``C @ d.flat() == d.chsh_values()``.
     """
-    w = weights / weights.sum()
-    n = vertices.shape[0]
-    lam = np.full(n, 1.0 / n)
-    mu = lam @ vertices
-    history: list[float] = []
+    E, _ = _equality_system()
+    _, sv, vt = np.linalg.svd(E)
+    N = vt[int((sv > 1e-10).sum()) :].T
+    parity = np.array([(-1.0) ** (a + b) for a, b in PAIR_ORDER])
+    C = (_chsh_sign_matrix()[:, :, None] * parity).reshape(8, 16)
+    return N, C, C @ N
 
-    def objective(m):
-        return float(np.dot(w, np.log(np.clip(m, 1e-300, None))))
 
-    obj = objective(mu)
-    gap = math.inf
-    for it in range(max_iter):
-        grad = vertices @ (w / np.clip(mu, 1e-300, None))  # d obj / d lam
-        # sum(lam * grad) == 1, so the Frank-Wolfe gap is max(grad) - 1
-        gap = float(grad.max()) - 1.0
-        if it % 16 == 0:
-            history.append(obj)
-        if gap <= gap_tol(obj):
+def _maximize_loglik(
+    w: np.ndarray,
+    bound: float,
+    vertices: np.ndarray,
+    scale,
+    rel_tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, float, float]:
+    """Maximise ``sum_i w_i log(mu_i)`` over the polytope with CHSH ``bound``.
+
+    The polytope is ``{E mu = f, mu >= 0, C mu <= bound}`` with ``vertices``
+    its extreme points: Tsirelson's bound and the 80 vertices for the trial
+    polytope, 2 and the 16 deterministic tables for the local one.  The
+    row-normalised weights maximise the objective over all tables, so when
+    they lie in the polytope they are the answer.  Otherwise damped Newton
+    steps follow the central path of the barrier ``t sum w log mu + sum log
+    mu + sum log(bound - C mu)`` on the equalities' null space, starting
+    from the uniform table at ``t = 1``; ``t`` grows tenfold after every
+    full step (Newton decrement at most 1/4).
+
+    Every iterate is certified by the Frank-Wolfe gap ``max(vertices @
+    (w/mu)) - 1``, an upper bound on the objective's shortfall from the
+    maximum; the first iterate whose gap relative to ``max(scale(obj),
+    1e-12)`` is at most ``rel_tol`` is returned as ``(mu, obj, rel_gap)``.
+    Raises :class:`MleConvergenceError` with the last iterate if none is
+    within ``max_iter`` Newton steps.
+    """
+    N, C, CN = _barrier_system()
+    E, f = _equality_system()
+    support = w > 0
+    rows = w.reshape(4, 4)
+    mu = (rows / rows.sum(axis=1, keepdims=True)).ravel()
+    if (np.abs(E @ mu - f) > NORMALIZATION_TOL).any() or (
+        C @ mu > bound + NORMALIZATION_TOL
+    ).any():
+        mu = np.full(16, 0.25)
+    t = 1.0
+    for it in range(max_iter + 1):
+        obj = float(np.dot(w[support], np.log(mu[support])))
+        g = np.divide(w, mu, out=np.zeros(16), where=support)
+        gap = float((vertices @ g).max()) - 1.0
+        rel_gap = gap / max(scale(obj), 1e-12)
+        if rel_gap <= rel_tol:
+            return mu, obj, rel_gap
+        if it == max_iter:
             break
-        lam_new = lam * grad
-        lam_new /= lam_new.sum()
-        mu_new = lam_new @ vertices
-        obj_new = objective(mu_new)
-        if obj_new < obj - 1e-13 * max(abs(obj), 1.0):
-            # EM is monotone up to rounding; a genuine decrease means a
-            # numerical stall, so fall back to a damped Frank-Wolfe step.
-            best_v = int(np.argmax(grad))
-            step = min(2.0 / (it + 2.0), 1e-2)
-            while step > 1e-18:
-                lam_new = (1.0 - step) * lam
-                lam_new[best_v] += step
-                mu_new = lam_new @ vertices
-                obj_new = objective(mu_new)
-                if obj_new >= obj:
-                    break
-                step *= 0.5
-            else:
-                break
-        lam, mu, obj = lam_new, mu_new, obj_new
-    history.append(obj)
-    return lam, mu, gap, history
+        s = bound - C @ mu
+        a = (t * w + 1.0) / mu
+        grad = N.T @ a - CN.T @ (1.0 / s)
+        hess = (N.T * (a / mu)) @ N + (CN.T / s**2) @ CN
+        try:
+            dz = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        decrement = math.sqrt(max(float(grad @ dz), 0.0))
+        if not math.isfinite(decrement):
+            break
+        # the damped step stays inside the Dikin ellipsoid, hence strictly
+        # feasible; the reach guard only catches rounding at large t
+        step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
+        dmu = N @ dz
+        reach = max(float((-dmu / mu).max()), float((C @ dmu / s).max()))
+        if step * reach >= 1.0:
+            step = 0.5 / reach
+        mu = mu + step * dmu
+        if decrement <= 0.25:
+            t *= 10.0
+    raise MleConvergenceError(
+        f"likelihood maximisation stalled with relative gap {rel_gap:.3e}",
+        best=ConditionalDistribution(mu.reshape(4, 4)),
+        gap=gap,
+    )
 
 
 def fit_mle(
     counts: CountsTable,
     rel_tol: float = 1e-10,
-    max_iter: int = 500_000,
+    max_iter: int = 500,
 ) -> ConditionalDistribution:
     """Maximum-likelihood table in the trial polytope for observed counts.
 
-    Maximises ``sum n(ab,xy) log p(ab|xy)`` over the polytope by expressing
-    ``p`` as a mixture of the 80 extreme points.  Raises
-    :class:`MleConvergenceError` (with the best iterate attached) if the
-    certified relative gap is still above ``rel_tol`` after ``max_iter``
-    updates.
+    Maximises ``sum n(ab,xy) log p(ab|xy)`` over the polytope with the
+    barrier solver, certified by the Frank-Wolfe gap over the 80 extreme
+    points.  Raises :class:`MleConvergenceError` (with the best iterate
+    attached) if the certified gap relative to the log-likelihood per trial
+    is still above ``rel_tol`` after ``max_iter`` Newton steps.
     """
+    return _fit_mle(counts, rel_tol, max_iter)[0]
+
+
+def _fit_mle(
+    counts: CountsTable, rel_tol: float = 1e-10, max_iter: int = 500
+) -> tuple[ConditionalDistribution, float]:
+    """:func:`fit_mle` and the certified relative gap of its result."""
     if counts.total <= 0:
         raise ValueError("counts table is empty")
     if (counts.setting_totals() == 0).any():
         raise ValueError("every settings pair needs at least one count")
-    verts = enumerate_extreme_points().vertices
     w = counts.counts.ravel() / counts.total
-    _, mu, gap, history = _maximize_mixture_loglik(
-        w, verts, lambda obj: rel_tol * max(abs(obj), 1e-12), max_iter
+    mu, _, rel_gap = _maximize_loglik(
+        w, TSIRELSON_BOUND, _VERTICES.vertices, abs, rel_tol, max_iter
     )
-    dist = ConditionalDistribution(mu.reshape(4, 4))
-    if gap > rel_tol * max(abs(history[-1]), 1e-12):
-        raise MleConvergenceError(
-            f"likelihood maximisation stalled with relative gap {gap:.3e}",
-            best=dist,
-            gap=gap,
-        )
-    return dist
+    return ConditionalDistribution(mu.reshape(4, 4)), rel_gap
 
 
 def log_likelihood(counts: CountsTable, d: ConditionalDistribution) -> float:
@@ -504,7 +591,7 @@ def log_likelihood(counts: CountsTable, d: ConditionalDistribution) -> float:
 def statistical_strength(
     d: ConditionalDistribution,
     rel_tol: float = 1e-3,
-    max_iter: int = 200_000,
+    max_iter: int = 500,
 ) -> float:
     """Statistical strength for rejecting local realism, in bits per trial.
 
@@ -512,22 +599,23 @@ def statistical_strength(
     distribution ``p(ab|xy)/4`` from the local-realistic polytope, i.e. the
     convex hull of the 16 deterministic strategies, with uniformly random
     settings.  The KL minimisation is the likelihood maximisation of
-    ``p/4`` over that hull, so it reuses the mixture solver.  ``rel_tol`` is
-    relative to the strength itself, which is typically orders of magnitude
-    smaller than the raw log-likelihood.
+    ``p/4`` over that hull (CHSH bound 2), so it reuses the barrier solver,
+    certified over the 16 deterministic tables.  ``rel_tol`` is relative to
+    the strength itself (floored at 1e-12 nats), which is typically orders
+    of magnitude smaller than the raw log-likelihood; a gap above it after
+    ``max_iter`` Newton steps raises :class:`MleConvergenceError`.
     """
-    verts = enumerate_extreme_points()
-    ld = verts.lr_vertices
+    return _statistical_strength(d, rel_tol, max_iter)[0]
+
+
+def _statistical_strength(
+    d: ConditionalDistribution, rel_tol: float = 1e-3, max_iter: int = 500
+) -> tuple[float, float]:
+    """:func:`statistical_strength` and the certified relative gap."""
     w = d.table.ravel() / 4.0
     mask = w > 0
     self_term = float(np.dot(w[mask], np.log(w[mask] * 4.0)))  # sum w ln p(ab|xy)
-
-    def gap_tol(obj: float) -> float:
-        strength_nats = max(self_term - obj, 0.0)
-        return max(rel_tol * strength_nats, 1e-15)
-
-    _, sigma, gap, _ = _maximize_mixture_loglik(w, ld, gap_tol, max_iter)
-    kl = (
-        self_term - float(np.dot(w[mask], np.log(np.clip(sigma[mask], 1e-300, None))))
-    ) / _LN2
-    return max(kl, 0.0)
+    _, obj, rel_gap = _maximize_loglik(
+        w, 2.0, _VERTICES.lr_vertices, lambda obj: self_term - obj, rel_tol, max_iter
+    )
+    return max((self_term - obj) / _LN2, 0.0), rel_gap

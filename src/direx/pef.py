@@ -79,13 +79,16 @@ class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
 
 
-def _cell_input_weights(q) -> np.ndarray:
+def _cell_input_weights(q, cells=None) -> np.ndarray:
     """nu_q(z) per flat cell (settings-major), shape ``(..., 16)`` for ``q``.
 
     ``q`` may be a scalar or an array; this is the only place the input
-    weights are built.
+    weights are built.  With ``cells``, flat cell indices broadcast against
+    ``q``, it gives each element the weight of its cell only.
     """
     q = np.asarray(q, dtype=np.float64)
+    if cells is not None:
+        return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
     out = np.empty(q.shape + (16,))
     out[..., :4] = (1.0 - 0.75 * q)[..., None]
     out[..., 4:] = (q / 4.0)[..., None]
@@ -273,22 +276,36 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         return j
 
-    def _excess(self, q: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    def _excess(
+        self,
+        q: np.ndarray,
+        sq: np.ndarray | None = None,
+        cells: np.ndarray | None = None,
+    ) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
         ``sq`` may hold the lifts ``4 nu_q`` of every row, else they are
-        built a run of rows at a time.
+        built a run of rows at a time.  ``cells`` keeps only some flat
+        cells: a ``(1, c)`` index array the same ``c`` cells of every row,
+        an ``(n, 1)`` array one cell per row.  Every entry takes the same
+        arithmetic as in the full table, so it is bit-identical to it.
         """
         q = q.ravel()
         if q.size > 1 and (q[1:] < q[:-1]).any():
             order = np.argsort(q, kind="stable")
-            out = np.empty((q.size, 16))
-            out[order] = self._excess(q[order], None if sq is None else sq[order])
+            out = np.empty((q.size, 16 if cells is None else cells.shape[1]))
+            out[order] = self._excess(
+                q[order],
+                None if sq is None else sq[order],
+                cells if cells is None or cells.shape[0] == 1 else cells[order],
+            )
             return out
         qa = np.array([a.position_q for a in self.anchors])
         ya = np.array([a.excess.ravel() for a in self.anchors])
         sy = _cell_input_weights(qa) * 4.0 * ya
-        out = np.empty((q.size, 16))
+        # selected cells are stored cell-major, so that every operation on
+        # them runs along the positions
+        out = np.empty((q.size, 16)) if cells is None else np.empty((cells.shape[1], q.size)).T
         # q rises with the position, so the anchor segments are slices; they
         # are filled in place, a bounded run of rows at a time
         split = int(np.searchsorted(q, qa[1], side="right"))
@@ -296,20 +313,41 @@ class PefTable:
         for a, b in zip(bounds[:-1], bounds[1:]):
             lo = 0 if b <= split else 1
             qs = q[a:b]
-            lam = ((qa[lo + 1] - qs) / (qa[lo + 1] - qa[lo]))[:, None]
-            o = out[a:b]
-            np.multiply(lam, sy[lo], out=o)
-            o += (1 - lam) * sy[lo + 1]
-            o /= _cell_input_weights(qs) * 4.0 if sq is None else sq[a:b]
+            lam = (qa[lo + 1] - qs) / (qa[lo + 1] - qa[lo])
+            y_lo, y_hi = sy[lo], sy[lo + 1]
+            if cells is None:
+                lam = lam[:, None]
+                lift = _cell_input_weights(qs) * 4.0 if sq is None else sq[a:b]
+                o = out[a:b]
+            else:
+                sel = (cells if cells.shape[0] == 1 else cells[a:b]).T
+                y_lo, y_hi = y_lo[sel], y_hi[sel]
+                lift = (
+                    _cell_input_weights(qs, sel) * 4.0
+                    if sq is None
+                    else np.take_along_axis(sq[a:b], sel.T, axis=1).T
+                )
+                o = out[a:b].T
+            np.multiply(lam, y_lo, out=o)
+            o += (1 - lam) * y_hi
+            o /= lift
         return out
 
-    def log2_f(self, positions: np.ndarray) -> np.ndarray:
-        """``log2 F_j`` per cell for many positions, shape ``(n, 16)``."""
-        j = self._checked(positions)
-        return self._log2_f(1.0 / (self.n_positions - j + 1.0))
+    def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        """``log2 F_j`` per cell for many positions, shape ``(n, 16)``.
 
-    def _log2_f(self, q: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
-        out = self._excess(q, sq)
+        ``cells`` keeps only some cells, as in :meth:`_excess`.
+        """
+        j = self._checked(positions)
+        return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells=cells)
+
+    def _log2_f(
+        self,
+        q: np.ndarray,
+        sq: np.ndarray | None = None,
+        cells: np.ndarray | None = None,
+    ) -> np.ndarray:
+        out = self._excess(q, sq, cells)
         out *= self.beta
         np.log1p(out, out=out)
         out /= _LN2

@@ -491,31 +491,37 @@ def simulate_dataset(
     return cycles, summary
 
 
+#: the settings-00 cells, the only columns the witness prefix sums read
+_CELLS_00 = np.arange(4)[None, :]
+
+
 def _witness_tables(table: PefTable):
     """Prefix sums and lookups for fast witness evaluation.
 
-    Returns ``(prefix00, delta, log2f)`` where ``prefix00[l]`` is
-    ``sum_{j<=l} log2 F_j(00,00)``, ``delta[j-1, o]`` the correction for a
-    detection with outcome ``o`` at position ``j`` (settings 00), and
-    ``log2f`` the full per-position table for spot lookups.
+    Returns ``(prefix00, delta, table)`` where ``prefix00[l]`` is
+    ``sum_{j<=l} log2 F_j(00,00)`` and ``delta[j-1, o]`` the correction for
+    a detection with outcome ``o`` at position ``j`` (settings 00); only the
+    four settings-00 columns are built.  The table itself serves the spot
+    lookups, one cell per block.
     """
-    log2f = table.log2_f(np.arange(1, table.n_positions + 1))
-    base00 = log2f[:, 0]
+    log2f00 = table.log2_f(np.arange(1, table.n_positions + 1), cells=_CELLS_00)
+    base00 = log2f00[:, 0]
     prefix00 = np.concatenate(([0.0], np.cumsum(base00)))
-    delta = log2f[:, :4] - base00[:, None]
-    return prefix00, delta, log2f
+    delta = log2f00 - base00[:, None]
+    return prefix00, delta, table
 
 
 def _log2_pef_sums(tables, L, boe, pos, out, spot) -> np.ndarray:
     """log2 block PEF products from ``(L, boe, pos, out, spot)`` columns.
 
     ``np.add.at`` adds each block's events in order, so every sum equals
-    the one formed trial by trial for that block alone.
+    the one formed trial by trial for that block alone; the spot term
+    ``log2 F_L(spot)`` is interpolated for each block's cell only.
     """
-    prefix00, delta, log2f = tables
+    prefix00, delta, table = tables
     totals = prefix00[L - 1]
     np.add.at(totals, boe, delta[pos - 1, out])
-    totals += log2f[L - 1, spot]
+    totals += table.log2_f(L, cells=spot[:, None])[:, 0]
     return totals
 
 

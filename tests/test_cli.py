@@ -37,6 +37,7 @@ class TestFit:
         want = commissioning_distribution().table
         assert np.abs(got - want).max() < 1e-6
         assert "manifest_hash" in obj
+        assert 0.0 <= obj["mle_rel_gap"] <= 1e-10
 
     def test_fit_csv_input(self, workdir, capsys):
         (workdir / "counts.csv").write_text(commissioning_counts().to_csv())
@@ -53,14 +54,50 @@ class TestFit:
         code, _ = run(capsys, "fit", bad)
         assert code == cli.EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("empty.csv", ""),
+            ("list.json", "[1, 2, 3]"),
+            ("label.csv", "x,y,a,b,count\n2,0,0,0,5\n"),
+            ("repeat.csv", "x,y,a,b,count\n0,0,0,0,5\n0,0,0,0,6\n"),
+        ],
+    )
+    def test_malformed_counts_exit_2_with_one_line(self, workdir, capsys, name, text):
+        path = workdir / name
+        path.write_text(text)
+        code = cli.main(["fit", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStrength:
     def test_value(self, workdir, capsys):
         code, out = run(capsys, "strength", workdir / "dist.json")
         assert code == 0
-        assert json.loads(out)["statistical_strength_bits"] == pytest.approx(
-            3.0329e-6, rel=5e-3
-        )
+        obj = json.loads(out)
+        assert obj["statistical_strength_bits"] == pytest.approx(3.0329e-6, rel=5e-3)
+        assert 0.0 <= obj["strength_rel_gap"] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("nan.csv", "x,y,a,b,p\n0,0,0,0,nan\n"),
+            ("empty.csv", ""),
+            ("list.json", "[0.25]"),
+            ("label.csv", "x,y,a,b,p\n0,0,0,2,1\n"),
+            ("repeat.csv", "x,y,a,b,p\n0,0,0,0,1\n0,0,0,0,1\n"),
+        ],
+    )
+    def test_malformed_distribution_exit_2_with_one_line(self, workdir, capsys, name, text):
+        path = workdir / name
+        path.write_text(text)
+        code = cli.main(["strength", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestPefRoundTrip:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -94,6 +95,64 @@ def _enumerate_vertices() -> tuple[np.ndarray, np.ndarray]:
     X = X[np.sort(first)]
     X = X[np.lexsort(np.round(X, 12).T[::-1])]
     return X, ((X == 0.0) | (X == 1.0)).all(axis=1)
+
+
+def _maximize_mixture_loglik(
+    weights: np.ndarray,
+    vertices: np.ndarray,
+    gap_tol,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Oracle: maximise ``sum_i w_i log(mu_i)`` over ``mu`` in conv(vertices).
+
+    Multiplicative (EM) updates on the mixture weights, independent of the
+    barrier solver's half-space description; the Frank-Wolfe
+    linearisation supplies a duality-gap certificate at every step.
+    ``gap_tol`` maps the current objective to the acceptable absolute gap.
+    Returns ``(lam, mu, gap, objective_history)``; ``gap`` bounds the
+    objective suboptimality from above.
+    """
+    w = weights / weights.sum()
+    n = vertices.shape[0]
+    lam = np.full(n, 1.0 / n)
+    mu = lam @ vertices
+    history: list[float] = []
+
+    def objective(m):
+        return float(np.dot(w, np.log(np.clip(m, 1e-300, None))))
+
+    obj = objective(mu)
+    gap = math.inf
+    for it in range(max_iter):
+        grad = vertices @ (w / np.clip(mu, 1e-300, None))  # d obj / d lam
+        # sum(lam * grad) == 1, so the Frank-Wolfe gap is max(grad) - 1
+        gap = float(grad.max()) - 1.0
+        if it % 16 == 0:
+            history.append(obj)
+        if gap <= gap_tol(obj):
+            break
+        lam_new = lam * grad
+        lam_new /= lam_new.sum()
+        mu_new = lam_new @ vertices
+        obj_new = objective(mu_new)
+        if obj_new < obj - 1e-13 * max(abs(obj), 1.0):
+            # EM is monotone up to rounding; a genuine decrease means a
+            # numerical stall, so fall back to a damped Frank-Wolfe step.
+            best_v = int(np.argmax(grad))
+            step = min(2.0 / (it + 2.0), 1e-2)
+            while step > 1e-18:
+                lam_new = (1.0 - step) * lam
+                lam_new[best_v] += step
+                mu_new = lam_new @ vertices
+                obj_new = objective(mu_new)
+                if obj_new >= obj:
+                    break
+                step *= 0.5
+            else:
+                break
+        lam, mu, obj = lam_new, mu_new, obj_new
+    history.append(obj)
+    return lam, mu, gap, history
 
 
 class TestPolytope:
@@ -232,7 +291,7 @@ class TestMle:
 
     def test_em_objective_monotone(self, vertices, commissioning):
         w = commissioning["counts"].counts.ravel() / commissioning["counts"].total
-        _, _, _, history = model._maximize_mixture_loglik(
+        _, _, _, history = _maximize_mixture_loglik(
             w, vertices.vertices, lambda obj: 1e-12 * abs(obj), 3000
         )
         diffs = np.diff(history)
@@ -270,12 +329,94 @@ class TestStatisticalStrength:
     def test_uniform_strength_zero(self):
         assert statistical_strength(UNIFORM) <= 1e-12
 
+    def test_iteration_cap_raises_with_best_iterate(self, commissioning):
+        with pytest.raises(MleConvergenceError) as exc:
+            statistical_strength(commissioning["distribution"], rel_tol=1e-15, max_iter=3)
+        assert is_member_T(exc.value.best)
+        assert exc.value.gap > 0
+
     @pytest.mark.parametrize("swap,flipx,flipa", [(True, False, False), (False, True, False), (False, False, True)])
     def test_relabeling_invariance(self, commissioning, swap, flipx, flipa):
         d = commissioning["distribution"]
         s0 = statistical_strength(d)
         s1 = statistical_strength(_relabel(d, swap, flipx, flipa))
         assert s1 == pytest.approx(s0, rel=2e-3)
+
+
+def _slacks(mu: np.ndarray, bound: float) -> np.ndarray:
+    """Positivity and CHSH slacks of a flat table."""
+    return np.concatenate([mu, bound - _chsh_rows_flat() @ mu])
+
+
+def _oracle_fit(counts: CountsTable, vertices) -> tuple[np.ndarray, float]:
+    w = counts.counts.ravel() / counts.total
+    _, mu, _, history = _maximize_mixture_loglik(
+        w, vertices.vertices, lambda obj: 1e-10 * abs(obj), 500_000
+    )
+    return mu, history[-1]
+
+
+class TestBarrierAgainstEmOracle:
+    """The barrier solver against the EM oracle, or the vertex where EM is slow."""
+
+    @pytest.mark.parametrize("name", ["commissioning", "design"])
+    def test_data_counts(self, request, vertices, name):
+        counts = request.getfixturevalue(name)["counts"]
+        fit, rel_gap = model._fit_mle(counts)
+        assert rel_gap <= 1e-10
+        mu, _ = _oracle_fit(counts, vertices)
+        assert np.abs(fit.flat() - mu).max() <= 1e-9
+
+    def test_multinomial_counts_from_random_points(self, vertices):
+        rng = np.random.default_rng(2024)
+        interior = 0
+        for _ in range(20):
+            p = random_polytope_point(rng, vertices)
+            counts = CountsTable(rng.multinomial(250_000, p.flat() / 4).reshape(4, 4))
+            fit, rel_gap = model._fit_mle(counts)
+            assert rel_gap <= 1e-10
+            mu, oracle_obj = _oracle_fit(counts, vertices)
+            w = counts.counts.ravel() / counts.total
+            obj = float(np.dot(w, np.log(fit.flat())))
+            assert obj >= oracle_obj - 1e-10 * abs(oracle_obj)
+            if _slacks(mu, TSIRELSON_BOUND).min() > 1e-6:
+                interior += 1
+                assert np.abs(fit.flat() - mu).max() <= 1e-9
+        assert interior >= 10
+
+    @pytest.mark.parametrize("index", [17, 40])
+    def test_counts_proportional_to_vertex(self, vertices, index):
+        v = vertices.vertices[index]
+        counts = CountsTable(np.round(v.reshape(4, 4) * 4_000_000).astype(np.int64))
+        fit, rel_gap = model._fit_mle(counts)
+        assert rel_gap <= 1e-10
+        assert np.abs(fit.flat() - v).max() <= 1e-5
+        at_vertex = model.log_likelihood(counts, ConditionalDistribution(v.reshape(4, 4)))
+        assert model.log_likelihood(counts, fit) >= at_vertex - 1e-10 * abs(at_vertex)
+
+    @pytest.mark.parametrize(
+        "case", ["commissioning", "design", "deterministic", "uniform", "vertex40", "edge"]
+    )
+    def test_strength(self, vertices, commissioning, design, case):
+        ld = vertices.lr_vertices
+        flat = {
+            "commissioning": commissioning["distribution"].flat(),
+            "design": design["distribution"].flat(),
+            "deterministic": ld[5],
+            "uniform": UNIFORM.flat(),
+            "vertex40": vertices.vertices[40],
+            "edge": 0.5 * (ld[3] + ld[5]),  # local, on an edge of the hull
+        }[case]
+        s, rel_gap = model._statistical_strength(ConditionalDistribution(flat.reshape(4, 4)))
+        assert rel_gap <= 1e-3
+        w = flat / 4.0
+        mask = w > 0
+        self_term = float(np.dot(w[mask], np.log(4.0 * w[mask])))
+        _, _, _, history = _maximize_mixture_loglik(
+            w, ld, lambda obj: max(1e-4 * (self_term - obj), 1e-15), 200_000
+        )
+        oracle = max((self_term - history[-1]) / math.log(2.0), 0.0)
+        assert s == pytest.approx(oracle, rel=1e-3, abs=1e-12)
 
 
 class TestSerialization:
@@ -296,11 +437,121 @@ class TestSerialization:
 
     def test_counts_json_layout_matches_table(self, commissioning):
         # outer rows are settings in the 00,10,01,11 order, inner outcomes
-        import json
-
         obj = json.loads(commissioning["counts"].to_json())
         assert obj["counts"][1][1] == commissioning["counts"].count(1, 0, 1, 0)
 
     def test_bad_csv_header(self):
         with pytest.raises(ValueError):
             CountsTable.from_csv("a,b,c,d,e\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "x,y,a,b,count\n2,0,0,0,5\n",
+            "x,y,a,b,count\n0,0,0,0,5\n0,0,0,0,6\n",
+            "x,y,a,b,count\n0,0,0\n",
+        ],
+        ids=["empty", "label-2", "repeated-cell", "short-row"],
+    )
+    def test_malformed_csv_rejected(self, text):
+        with pytest.raises(ValueError):
+            CountsTable.from_csv(text)
+        with pytest.raises(ValueError):
+            ConditionalDistribution.from_csv(text.replace("count", "p"))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"p": 3}', '{"counts": [[1, 2]]}'])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            CountsTable.from_json(text)
+        with pytest.raises(ValueError):
+            ConditionalDistribution.from_json(text)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        t = np.full((4, 4), 0.25)
+        t[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ConditionalDistribution(t)
+
+
+_CELLS = [(x, y, a, b) for x, y in model.PAIR_ORDER for a, b in model.PAIR_ORDER]
+_LABELS = st.sampled_from(["0", "1", "0", "1", "2", "-1", " 1", "1.0", ""])
+_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "0.25", "0.5", "", "nan", "inf", "-0.0", "1e999", "abc"]),
+    st.integers(-3, 2**64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Tables near the valid form: the uniform table or unit counts, mutated."""
+    header = draw(st.sampled_from(["x,y,a,b,v", "x,y,a,b", "a,b,c,d,e", " x, y, a, b, p"]))
+    fill = draw(st.sampled_from(["0.25", "1"]))
+    rows = [[*map(str, cell), fill] for cell in _CELLS]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "label", "value"]))
+        if op == "drop":
+            rows.pop(i)
+        elif op == "repeat":
+            rows.append(list(rows[i]))
+        elif op == "label":
+            rows[i][draw(st.integers(0, 3))] = draw(_LABELS)
+        else:
+            rows[i][4] = draw(_VALUES)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][: draw(st.integers(0, 4))]
+    return "\n".join([header, *(",".join(r) for r in rows)]) + "\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=30,
+)
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, 0.25, 0.5, 2.5, -1, True, "1", None]),
+    st.integers(-3, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _json_texts(draw):
+    """Arbitrary JSON, or a 4x4 table under either key with some entries changed."""
+    if draw(st.booleans()):
+        return json.dumps(draw(_JSON))
+    fill = draw(st.sampled_from([0.25, 1]))
+    rows = [[fill] * 4 for _ in range(4)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 3))] = draw(_ENTRIES)
+    if draw(st.booleans()):
+        rows = rows[: draw(st.integers(0, 3))]
+    return json.dumps({draw(st.sampled_from(["p", "counts", "q"])): rows})
+
+
+def _decodes_or_rejects(cls, decode, text: str) -> None:
+    """Decode to a table that round-trips through both forms, or raise ValueError."""
+    try:
+        table = decode(text)
+    except ValueError:
+        return
+    assert cls.from_json(table.to_json()) == table
+    assert cls.from_csv(table.to_csv()) == table
+
+
+class TestLoaderFuzz:
+    @given(text=st.one_of(_csv_texts(), st.text(max_size=80)))
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, text):
+        for cls in (CountsTable, ConditionalDistribution):
+            _decodes_or_rejects(cls, cls.from_csv, text)
+
+    @given(text=st.one_of(_json_texts(), st.text(max_size=80)))
+    @settings(max_examples=300, deadline=None)
+    def test_json(self, text):
+        for cls in (CountsTable, ConditionalDistribution):
+            _decodes_or_rejects(cls, cls.from_json, text)

@@ -411,11 +411,11 @@ class TestAccumulate:
 
 def _loop_log2_pef(rec: BlockRecord, tabs) -> float:
     """Per-event reference sum of one block's log2 PEFs."""
-    prefix00, delta, log2f = tabs
+    prefix00, delta, table = tabs
     total = prefix00[rec.length - 1]
     for pos, out in rec.events:
         total += delta[pos - 1, out]
-    total += log2f[rec.length - 1, 4 * rec.spot_settings + rec.spot_outcome]
+    total += table.log2_f([rec.length])[0, 4 * rec.spot_settings + rec.spot_outcome]
     return float(total)
 
 
