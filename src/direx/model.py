@@ -502,7 +502,7 @@ def _maximize_loglik(
     maximum; the first iterate whose gap relative to ``max(scale(obj),
     1e-12)`` is at most ``rel_tol`` is returned as ``(mu, obj, rel_gap)``.
     Raises :class:`MleConvergenceError` with the last iterate if none is
-    within ``max_iter`` Newton steps.
+    within ``max_iter`` Newton steps, or the Newton system breaks down.
     """
     N, C, CN = _barrier_system()
     E, f = _equality_system()

@@ -284,11 +284,12 @@ class PefTable:
     ) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
-        ``sq`` may hold the lifts ``4 nu_q`` of every row, else they are
-        built a run of rows at a time.  ``cells`` keeps only some flat
-        cells: a ``(1, c)`` index array the same ``c`` cells of every row,
-        an ``(n, 1)`` array one cell per row.  Every entry takes the same
-        arithmetic as in the full table, so it is bit-identical to it.
+        For full rows ``sq`` may hold the lifts ``4 nu_q`` of every row,
+        else they are built a run of rows at a time.  ``cells`` keeps only
+        some flat cells: a ``(1, c)`` index array the same ``c`` cells of
+        every row, an ``(n, 1)`` array one cell per row.  Every entry takes
+        the same arithmetic as in the full table, so it is bit-identical to
+        it.
         """
         q = q.ravel()
         if q.size > 1 and (q[1:] < q[:-1]).any():
@@ -322,11 +323,7 @@ class PefTable:
             else:
                 sel = (cells if cells.shape[0] == 1 else cells[a:b]).T
                 y_lo, y_hi = y_lo[sel], y_hi[sel]
-                lift = (
-                    _cell_input_weights(qs, sel) * 4.0
-                    if sq is None
-                    else np.take_along_axis(sq[a:b], sel.T, axis=1).T
-                )
+                lift = _cell_input_weights(qs, sel) * 4.0
                 o = out[a:b].T
             np.multiply(lam, y_lo, out=o)
             o += (1 - lam) * y_hi
@@ -336,7 +333,8 @@ class PefTable:
     def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """``log2 F_j`` per cell for many positions, shape ``(n, 16)``.
 
-        ``cells`` keeps only some cells, as in :meth:`_excess`.
+        ``cells`` keeps only some cells, as in :meth:`_excess`; the shape is
+        then ``(n, c)``.
         """
         j = self._checked(positions)
         return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells=cells)
