@@ -501,8 +501,9 @@ def _maximize_loglik(
     (w/mu)) - 1``, an upper bound on the objective's shortfall from the
     maximum; the first iterate whose gap relative to ``max(scale(obj),
     1e-12)`` is at most ``rel_tol`` is returned as ``(mu, obj, rel_gap)``.
-    Raises :class:`MleConvergenceError` with the last iterate if none is
-    within ``max_iter`` Newton steps, or the Newton system breaks down.
+    Raises :class:`MleConvergenceError` with the best-certified iterate if
+    none is within ``max_iter`` Newton steps, or the Newton system breaks
+    down.
     """
     N, C, CN = _barrier_system()
     E, f = _equality_system()
@@ -514,28 +515,39 @@ def _maximize_loglik(
     ).any():
         mu = np.full(16, 0.25)
     t = 1.0
+    best = (math.inf, math.inf, mu)
     for it in range(max_iter + 1):
         obj = float(np.dot(w[support], np.log(mu[support])))
         g = np.divide(w, mu, out=np.zeros(16), where=support)
-        gap = float((vertices @ g).max()) - 1.0
+        # max(vertices @ g) - 1, as sum(mu * g) = sum(w) = 1, summed term
+        # by term so that gaps far below 1e-16 stay resolved
+        gap = float(((vertices - mu) @ g).max())
         rel_gap = gap / max(scale(obj), 1e-12)
         if rel_gap <= rel_tol:
             return mu, obj, rel_gap
+        if rel_gap < best[0]:
+            best = (rel_gap, gap, mu)
         if it == max_iter:
             break
         s = bound - C @ mu
-        a = (t * w + 1.0) / mu
-        grad = N.T @ a - CN.T @ (1.0 / s)
-        hess = (N.T * (a / mu)) @ N + (CN.T / s**2) @ CN
+        a = t * w + 1.0
+        grad = N.T @ (a / mu) - CN.T @ (1.0 / s)
+        hess = (N.T * (a / mu**2)) @ N + (CN.T / s**2) @ CN
         try:
             dz = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            break
+            # near the boundary hess can be singular to working precision;
+            # as least squares in its factor B (B.T B = hess, B.T r = grad)
+            # the system keeps the square root of that condition number
+            B = np.vstack([N * (np.sqrt(a) / mu)[:, None], CN / s[:, None]])
+            r = np.concatenate([np.sqrt(a), -np.ones(8)])
+            dz = np.linalg.lstsq(B, r, rcond=None)[0]
         decrement = math.sqrt(max(float(grad @ dz), 0.0))
         if not math.isfinite(decrement):
             break
         # the damped step stays inside the Dikin ellipsoid, hence strictly
-        # feasible; the reach guard only catches rounding at large t
+        # feasible; the reach guard only catches directions spoiled by
+        # rounding at large t
         step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
         dmu = N @ dz
         reach = max(float((-dmu / mu).max()), float((C @ dmu / s).max()))
@@ -544,6 +556,7 @@ def _maximize_loglik(
         mu = mu + step * dmu
         if decrement <= 0.25:
             t *= 10.0
+    rel_gap, gap, mu = best
     raise MleConvergenceError(
         f"likelihood maximisation stalled with relative gap {rel_gap:.3e}",
         best=ConditionalDistribution(mu.reshape(4, 4)),

@@ -387,12 +387,30 @@ class TestBarrierAgainstEmOracle:
     @pytest.mark.parametrize("index", [17, 40])
     def test_counts_proportional_to_vertex(self, vertices, index):
         v = vertices.vertices[index]
-        counts = CountsTable(np.round(v.reshape(4, 4) * 4_000_000).astype(np.int64))
+        at_v = ConditionalDistribution(v.reshape(4, 4))
+        rng = np.random.default_rng(index)
+        # rounded counts are non-signaling, so their frequencies are the
+        # maximiser; multinomial ones are not, and need the barrier path
+        for counts, tol in (
+            (CountsTable(np.round(v.reshape(4, 4) * 4_000_000).astype(np.int64)), 1e-6),
+            (CountsTable(rng.multinomial(4_000_000, v / 4).reshape(4, 4)), 3e-3),
+        ):
+            fit, rel_gap = model._fit_mle(counts)
+            assert rel_gap <= 1e-10
+            assert is_member_T(fit)
+            assert np.abs(fit.flat() - v).max() <= tol
+            at_vertex = model.log_likelihood(counts, at_v)
+            assert model.log_likelihood(counts, fit) >= at_vertex - 1e-10 * abs(at_vertex)
+
+    def test_sparse_counts_with_a_rare_setting(self):
+        # one trial each at settings 00 and 11 against ~10^6 at the others:
+        # the Hessian turns singular to working precision on the way
+        counts = CountsTable(
+            np.array([[1, 0, 420677, 0], [148854, 0, 0, 0], [1, 0, 0, 903579], [1, 0, 0, 0]])
+        )
         fit, rel_gap = model._fit_mle(counts)
         assert rel_gap <= 1e-10
-        assert np.abs(fit.flat() - v).max() <= 1e-5
-        at_vertex = model.log_likelihood(counts, ConditionalDistribution(v.reshape(4, 4)))
-        assert model.log_likelihood(counts, fit) >= at_vertex - 1e-10 * abs(at_vertex)
+        assert is_member_T(fit)
 
     @pytest.mark.parametrize(
         "case", ["commissioning", "design", "deterministic", "uniform", "vertex40", "edge"]
