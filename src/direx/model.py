@@ -462,19 +462,18 @@ def is_member_T(d: ConditionalDistribution, tol: float = MEMBERSHIP_TOL) -> bool
 
 
 @functools.cache
-def _barrier_system() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(N, C, C @ N)`` for the barrier solver, built on first use.
+def _barrier_system() -> tuple[np.ndarray, np.ndarray]:
+    """``(E8, C)`` for the barrier solver, built on first use.
 
-    ``N`` is an orthonormal (16, 8) basis of the null space of
-    :func:`_equality_system` and ``C`` the 8 CHSH rows acting on flat
+    ``E8`` holds 8 linearly independent rows of :func:`_equality_system`
+    (the four normalisations, Alice's and Bob's no-signaling for outcome 0)
+    with the same solutions, and ``C`` the 8 CHSH rows acting on flat
     16-vectors, so that ``C @ d.flat() == d.chsh_values()``.
     """
     E, _ = _equality_system()
-    _, sv, vt = np.linalg.svd(E)
-    N = vt[int((sv > 1e-10).sum()) :].T
     parity = np.array([(-1.0) ** (a + b) for a, b in PAIR_ORDER])
     C = (_chsh_sign_matrix()[:, :, None] * parity).reshape(8, 16)
-    return N, C, C @ N
+    return E[[0, 1, 2, 3, 4, 5, 8, 9]], C
 
 
 def _maximize_loglik(
@@ -495,7 +494,11 @@ def _maximize_loglik(
     steps follow the central path of the barrier ``t sum w log mu + sum log
     mu + sum log(bound - C mu)`` on the equalities' null space, starting
     from the uniform table at ``t = 1``; ``t`` grows tenfold after every
-    full step (Newton decrement at most 1/4).
+    full step (Newton decrement at most 1/4).  Each step is solved in the
+    scaled variables ``u = dmu sqrt(t w + 1) / mu``, where the positivity
+    part of the Hessian is the identity, so that a cell far below 1 keeps
+    its relative accuracy at large ``t``; the CHSH slacks ``bound - C mu``
+    are carried along with ``mu`` for the same reason.
 
     Every iterate is certified by the Frank-Wolfe gap ``max(vertices @
     (w/mu)) - 1``, an upper bound on the objective's shortfall from the
@@ -505,7 +508,7 @@ def _maximize_loglik(
     none is within ``max_iter`` Newton steps, or the Newton system breaks
     down.
     """
-    N, C, CN = _barrier_system()
+    E8, C = _barrier_system()
     E, f = _equality_system()
     support = w > 0
     rows = w.reshape(4, 4)
@@ -515,6 +518,7 @@ def _maximize_loglik(
     ).any():
         mu = np.full(16, 0.25)
     t = 1.0
+    s = bound - C @ mu
     best = (math.inf, math.inf, mu)
     for it in range(max_iter + 1):
         obj = float(np.dot(w[support], np.log(mu[support])))
@@ -529,31 +533,29 @@ def _maximize_loglik(
             best = (rel_gap, gap, mu)
         if it == max_iter:
             break
-        s = bound - C @ mu
         a = t * w + 1.0
-        grad = N.T @ (a / mu) - CN.T @ (1.0 / s)
-        hess = (N.T * (a / mu**2)) @ N + (CN.T / s**2) @ CN
-        try:
-            dz = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            # near the boundary hess can be singular to working precision;
-            # as least squares in its factor B (B.T B = hess, B.T r = grad)
-            # the system keeps the square root of that condition number
-            B = np.vstack([N * (np.sqrt(a) / mu)[:, None], CN / s[:, None]])
-            r = np.concatenate([np.sqrt(a), -np.ones(8)])
-            dz = np.linalg.lstsq(B, r, rcond=None)[0]
-        decrement = math.sqrt(max(float(grad @ dz), 0.0))
+        # dmu = D u with u in the null space of the scaled equalities, an
+        # orthonormal basis Z of which closes a QR of their transpose; the
+        # Hessian in u is I + K.T K with K the scaled CHSH rows
+        D = mu / np.sqrt(a)
+        Z = np.linalg.qr((E8 * D).T, mode="complete")[0][:, 8:]
+        K = (C * D) @ Z / s[:, None]
+        grad = Z.T @ np.sqrt(a) - K.sum(axis=0)
+        y = np.linalg.solve(np.eye(8) + K.T @ K, grad)
+        decrement = math.sqrt(max(float(grad @ y), 0.0))
         if not math.isfinite(decrement):
             break
         # the damped step stays inside the Dikin ellipsoid, hence strictly
         # feasible; the reach guard only catches directions spoiled by
         # rounding at large t
         step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-        dmu = N @ dz
-        reach = max(float((-dmu / mu).max()), float((C @ dmu / s).max()))
+        dmu = D * (Z @ y)
+        ds = C @ dmu
+        reach = max(float((-dmu / mu).max()), float((ds / s).max()))
         if step * reach >= 1.0:
             step = 0.5 / reach
         mu = mu + step * dmu
+        s = s - step * ds
         if decrement <= 0.25:
             t *= 10.0
     rel_gap, gap, mu = best

@@ -74,6 +74,9 @@ PEF_VALIDITY_TOL = 1e-9
 #: positions interpolated per step; bounds the temporaries of a 2^k table
 _ROWS = 1 << 14
 
+#: every flat cell, in the ``cells`` form of :meth:`PefTable._excess`
+_ALL_CELLS = np.arange(16)[None]
+
 
 class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
@@ -87,12 +90,9 @@ def _cell_input_weights(q, cells=None) -> np.ndarray:
     ``q``, it gives each element the weight of its cell only.
     """
     q = np.asarray(q, dtype=np.float64)
-    if cells is not None:
-        return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
-    out = np.empty(q.shape + (16,))
-    out[..., :4] = (1.0 - 0.75 * q)[..., None]
-    out[..., 4:] = (q / 4.0)[..., None]
-    return out
+    if cells is None:
+        q, cells = q[..., None], _ALL_CELLS[0]
+    return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
 
 
 def pef_constraints(
@@ -276,37 +276,29 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         return j
 
-    def _excess(
-        self,
-        q: np.ndarray,
-        sq: np.ndarray | None = None,
-        cells: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _excess(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
-        For full rows ``sq`` may hold the lifts ``4 nu_q`` of every row,
-        else they are built a run of rows at a time.  ``cells`` keeps only
-        some flat cells: a ``(1, c)`` index array the same ``c`` cells of
-        every row, an ``(n, 1)`` array one cell per row.  Every entry takes
-        the same arithmetic as in the full table, so it is bit-identical to
-        it.
+        ``cells`` keeps only some flat cells: a ``(1, c)`` index array the
+        same ``c`` cells of every row, an ``(n, 1)`` array one cell per row;
+        without it all 16 are kept.  The result is stored cell-major, so
+        that every operation runs along the positions, and each entry takes
+        the same arithmetic whichever cells are kept.
         """
+        if cells is None:
+            cells = _ALL_CELLS
         q = q.ravel()
         if q.size > 1 and (q[1:] < q[:-1]).any():
             order = np.argsort(q, kind="stable")
-            out = np.empty((q.size, 16 if cells is None else cells.shape[1]))
+            out = np.empty((q.size, cells.shape[1]))
             out[order] = self._excess(
-                q[order],
-                None if sq is None else sq[order],
-                cells if cells is None or cells.shape[0] == 1 else cells[order],
+                q[order], cells if cells.shape[0] == 1 else cells[order]
             )
             return out
         qa = np.array([a.position_q for a in self.anchors])
         ya = np.array([a.excess.ravel() for a in self.anchors])
         sy = _cell_input_weights(qa) * 4.0 * ya
-        # selected cells are stored cell-major, so that every operation on
-        # them runs along the positions
-        out = np.empty((q.size, 16)) if cells is None else np.empty((cells.shape[1], q.size)).T
+        out = np.empty((cells.shape[1], q.size)).T
         # q rises with the position, so the anchor segments are slices; they
         # are filled in place, a bounded run of rows at a time
         split = int(np.searchsorted(q, qa[1], side="right"))
@@ -315,19 +307,11 @@ class PefTable:
             lo = 0 if b <= split else 1
             qs = q[a:b]
             lam = (qa[lo + 1] - qs) / (qa[lo + 1] - qa[lo])
-            y_lo, y_hi = sy[lo], sy[lo + 1]
-            if cells is None:
-                lam = lam[:, None]
-                lift = _cell_input_weights(qs) * 4.0 if sq is None else sq[a:b]
-                o = out[a:b]
-            else:
-                sel = (cells if cells.shape[0] == 1 else cells[a:b]).T
-                y_lo, y_hi = y_lo[sel], y_hi[sel]
-                lift = _cell_input_weights(qs, sel) * 4.0
-                o = out[a:b].T
-            np.multiply(lam, y_lo, out=o)
-            o += (1 - lam) * y_hi
-            o /= lift
+            sel = (cells if cells.shape[0] == 1 else cells[a:b]).T
+            o = out[a:b].T
+            np.multiply(lam, sy[lo][sel], out=o)
+            o += (1 - lam) * sy[lo + 1][sel]
+            o /= _cell_input_weights(qs, sel) * 4.0
         return out
 
     def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
@@ -337,15 +321,10 @@ class PefTable:
         then ``(n, c)``.
         """
         j = self._checked(positions)
-        return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells=cells)
+        return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells)
 
-    def _log2_f(
-        self,
-        q: np.ndarray,
-        sq: np.ndarray | None = None,
-        cells: np.ndarray | None = None,
-    ) -> np.ndarray:
-        out = self._excess(q, sq, cells)
+    def _log2_f(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        out = self._excess(q, cells)
         out *= self.beta
         np.log1p(out, out=out)
         out /= _LN2
@@ -435,7 +414,8 @@ def block_gain(
     for a in range(0, n, _ROWS):
         rows = slice(a, a + _ROWS)
         w = _cell_input_weights(q[rows])
-        log2f = table._log2_f(q[rows], w * 4.0)
+        # row-major, so that every moment is summed in the order it always was
+        log2f = np.ascontiguousarray(table._log2_f(q[rows]))
         w *= nu_h.table.ravel()[None, :]
         m_j[rows] = np.einsum("ji,ji->j", w, log2f)
         m00[rows] = log2f[:, :4] @ nu_h.table[0]  # E[log2 F_j | z = 00]
@@ -491,11 +471,10 @@ ANCHOR_BATCH = 128
 
 @functools.lru_cache(maxsize=8)
 def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
-    """Decimated positions with their ``q``, ``nu_q``, lifts ``4 nu_q`` and reach."""
+    """Decimated positions with their ``q``, ``nu_q`` and reach."""
     pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
     q = 1.0 / (n - pos + 1.0)
-    nu = _cell_input_weights(q)
-    grid = (pos, q, nu, nu * 4.0, (n - pos + 1.0) / n)
+    grid = (pos, q, _cell_input_weights(q), (n - pos + 1.0) / n)
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -506,8 +485,8 @@ def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
     n = table.n_positions
     if n <= n_samples:
         return block_gain(table, nu_h).g_block
-    pos, q, nu, sq, omega = _sample_grid(n, n_samples)
-    log2f = table._log2_f(q, sq)
+    pos, q, nu, omega = _sample_grid(n, n_samples)
+    log2f = np.ascontiguousarray(table._log2_f(q))
     w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
     return float(np.trapezoid(omega * m_j, pos) / table.beta)

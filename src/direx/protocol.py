@@ -498,27 +498,28 @@ _CELLS_00 = np.arange(4)[None, :]
 def _witness_tables(table: PefTable):
     """Prefix sums and lookups for fast witness evaluation.
 
-    Returns ``(prefix00, delta, table)`` where ``prefix00[l]`` is
+    Returns ``(prefix00, delta)`` where ``prefix00[l]`` is
     ``sum_{j<=l} log2 F_j(00,00)`` and ``delta[j-1, o]`` the correction for
     a detection with outcome ``o`` at position ``j`` (settings 00); only the
-    four settings-00 columns are built.  The table itself serves the spot
-    lookups, one cell per block.
+    four settings-00 columns are built.  The spot lookups, one cell per
+    block, are read from the table itself.
     """
     log2f00 = table.log2_f(np.arange(1, table.n_positions + 1), cells=_CELLS_00)
     base00 = log2f00[:, 0]
     prefix00 = np.concatenate(([0.0], np.cumsum(base00)))
     delta = log2f00 - base00[:, None]
-    return prefix00, delta, table
+    return prefix00, delta
 
 
-def _log2_pef_sums(tables, L, boe, pos, out, spot) -> np.ndarray:
+def _log2_pef_sums(table: PefTable, tables, L, boe, pos, out, spot) -> np.ndarray:
     """log2 block PEF products from ``(L, boe, pos, out, spot)`` columns.
 
-    ``np.add.at`` adds each block's events in order, so every sum equals
-    the one formed trial by trial for that block alone; the spot term
-    ``log2 F_L(spot)`` is interpolated for each block's cell only.
+    ``tables`` are :func:`_witness_tables` of ``table``.  ``np.add.at``
+    adds each block's events in order, so every sum equals the one formed
+    trial by trial for that block alone; the spot term ``log2 F_L(spot)``
+    is interpolated for each block's cell only.
     """
-    prefix00, delta, table = tables
+    prefix00, delta = tables
     totals = prefix00[L - 1]
     np.add.at(totals, boe, delta[pos - 1, out])
     totals += table.log2_f(L, cells=spot[:, None])[:, 0]
@@ -528,7 +529,7 @@ def _log2_pef_sums(tables, L, boe, pos, out, spot) -> np.ndarray:
 def block_log2_pef(record: BlockRecord, table: PefTable, tables=None) -> float:
     """log2 of the block PEF product, from the sparse record."""
     tabs = tables if tables is not None else _witness_tables(table)
-    return float(_log2_pef_sums(tabs, *Blocks.from_records([record]).columns)[0])
+    return float(_log2_pef_sums(table, tabs, *Blocks.from_records([record]).columns)[0])
 
 
 def simulate_run_witness(
@@ -553,7 +554,7 @@ def simulate_run_witness(
     for done in range(0, n_blocks, _CHUNK):
         m = min(_CHUNK, n_blocks - done)
         cols = _sample_blocks(nu_h.table, table.k, m, rng)
-        out[done : done + m] = _log2_pef_sums(tabs, *cols)
+        out[done : done + m] = _log2_pef_sums(table, tabs, *cols)
     return out / table.beta
 
 
@@ -642,7 +643,7 @@ def accumulate(
                 blocks = f.blocks[: cfg.N_b - state.N_run]
                 if (blocks.L > 2**cfg.k).any():
                     raise ValueError(f"cycle {ci}, file {fi}: block longer than 2^{cfg.k}")
-                inc = _log2_pef_sums(tabs, *blocks.columns) / cfg.beta
+                inc = _log2_pef_sums(table, tabs, *blocks.columns) / cfg.beta
                 # increments can be negative: G_run is not monotone
                 g_run = np.cumsum(np.concatenate(([state.G_run], inc)))[1:]
                 crossed = np.flatnonzero(g_run >= cfg.G_min)

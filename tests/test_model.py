@@ -404,13 +404,44 @@ class TestBarrierAgainstEmOracle:
 
     def test_sparse_counts_with_a_rare_setting(self):
         # one trial each at settings 00 and 11 against ~10^6 at the others:
-        # the Hessian turns singular to working precision on the way
+        # the unscaled Hessian turns singular to working precision on the way
         counts = CountsTable(
             np.array([[1, 0, 420677, 0], [148854, 0, 0, 0], [1, 0, 0, 903579], [1, 0, 0, 0]])
         )
         fit, rel_gap = model._fit_mle(counts)
         assert rel_gap <= 1e-10
         assert is_member_T(fit)
+
+    def test_rare_settings_among_ten_million_trials(self, vertices):
+        # the log-likelihood per trial is -3.3e-6, so the certificate asks
+        # for an absolute gap of 3.3e-16; the EM oracle meets it too
+        counts = CountsTable(
+            np.array([[1, 0, 0, 0], [0, 0, 7196921, 0], [0, 0, 0, 2748644], [1, 0, 0, 0]])
+        )
+        fit, rel_gap = model._fit_mle(counts)
+        assert rel_gap <= 1e-10
+        assert is_member_T(fit)
+        _, oracle_obj = _oracle_fit(counts, vertices)
+        assert model.log_likelihood(counts, fit) / counts.total >= oracle_obj - 1e-10 * abs(
+            oracle_obj
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=MleConvergenceError,
+        reason="the certificate asks for absolute gaps of 5e-15 and 4e-17, a few "
+        "ulps of the table's large entries; the barrier stalls at relative gaps "
+        "of 1.5e-10 and 7.5e-10, where the EM oracle's vertex mixtures certify",
+    )
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 45656, 0, 0], [0, 0, 0, 1], [0, 0, 0, 88898], [0, 0, 0, 94430]],
+            [[0, 0, 0, 1281419], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 88380812]],
+        ],
+    )
+    def test_gap_at_the_float64_floor(self, table):
+        model._fit_mle(CountsTable(np.array(table)))
 
     @pytest.mark.parametrize(
         "case", ["commissioning", "design", "deterministic", "uniform", "vertex40", "edge"]

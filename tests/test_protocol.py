@@ -409,9 +409,9 @@ class TestAccumulate:
             accumulate(cycles, cfg, lambda d: small_table)
 
 
-def _loop_log2_pef(rec: BlockRecord, tabs) -> float:
+def _loop_log2_pef(rec: BlockRecord, table, tabs) -> float:
     """Per-event reference sum of one block's log2 PEFs."""
-    prefix00, delta, table = tabs
+    prefix00, delta = tabs
     total = prefix00[rec.length - 1]
     for pos, out in rec.events:
         total += delta[pos - 1, out]
@@ -431,7 +431,7 @@ def _loop_accumulate(cycles, cfg, builder, stop_on_success):
         for f in cycles[ci].files:
             for rec in f.blocks:
                 inc = protocol.block_log2_pef(rec, table, tabs)
-                assert inc == _loop_log2_pef(rec, tabs)
+                assert inc == _loop_log2_pef(rec, table, tabs)
                 state.N_run += 1
                 state.bits_consumed += cfg.k + 2
                 state.G_run += inc / cfg.beta
