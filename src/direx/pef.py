@@ -90,9 +90,12 @@ def _cell_input_weights(q, cells=None) -> np.ndarray:
     ``q``, it gives each element the weight of its cell only.
     """
     q = np.asarray(q, dtype=np.float64)
-    if cells is None:
-        q, cells = q[..., None], _ALL_CELLS[0]
-    return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
+    if cells is not None:
+        return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
+    out = np.empty(q.shape + (16,))
+    out[..., :4] = (1.0 - 0.75 * q)[..., None]
+    out[..., 4:] = (q / 4.0)[..., None]
+    return out
 
 
 def pef_constraints(
@@ -276,14 +279,21 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         return j
 
-    def _excess(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    def _excess(
+        self,
+        q: np.ndarray,
+        cells: np.ndarray | None = None,
+        lift: np.ndarray | None = None,
+    ) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
         ``cells`` keeps only some flat cells: a ``(1, c)`` index array the
         same ``c`` cells of every row, an ``(n, 1)`` array one cell per row;
-        without it all 16 are kept.  The result is stored cell-major, so
-        that every operation runs along the positions, and each entry takes
-        the same arithmetic whichever cells are kept.
+        without it all 16 are kept, and ``lift`` may then hold the lifts
+        ``4 nu_q`` of every row cell-major, shape ``(16, n)``, which are
+        otherwise built a run of rows at a time.  The result is stored
+        cell-major, so that every operation runs along the positions, and
+        each entry takes the same arithmetic whichever cells are kept.
         """
         if cells is None:
             cells = _ALL_CELLS
@@ -292,7 +302,9 @@ class PefTable:
             order = np.argsort(q, kind="stable")
             out = np.empty((q.size, cells.shape[1]))
             out[order] = self._excess(
-                q[order], cells if cells.shape[0] == 1 else cells[order]
+                q[order],
+                cells if cells.shape[0] == 1 else cells[order],
+                None if lift is None else lift[:, order],
             )
             return out
         qa = np.array([a.position_q for a in self.anchors])
@@ -311,7 +323,7 @@ class PefTable:
             o = out[a:b].T
             np.multiply(lam, sy[lo][sel], out=o)
             o += (1 - lam) * sy[lo + 1][sel]
-            o /= _cell_input_weights(qs, sel) * 4.0
+            o /= _cell_input_weights(qs, sel) * 4.0 if lift is None else lift[:, a:b]
         return out
 
     def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
@@ -323,8 +335,13 @@ class PefTable:
         j = self._checked(positions)
         return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells)
 
-    def _log2_f(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        out = self._excess(q, cells)
+    def _log2_f(
+        self,
+        q: np.ndarray,
+        cells: np.ndarray | None = None,
+        lift: np.ndarray | None = None,
+    ) -> np.ndarray:
+        out = self._excess(q, cells, lift)
         out *= self.beta
         np.log1p(out, out=out)
         out /= _LN2
@@ -414,7 +431,8 @@ def block_gain(
     for a in range(0, n, _ROWS):
         rows = slice(a, a + _ROWS)
         w = _cell_input_weights(q[rows])
-        # row-major, so that every moment is summed in the order it always was
+        # row-major, so that each moment sums its 16 cells in the same order
+        # as over a full (2^k, 16) table
         log2f = np.ascontiguousarray(table._log2_f(q[rows]))
         w *= nu_h.table.ravel()[None, :]
         m_j[rows] = np.einsum("ji,ji->j", w, log2f)
@@ -471,10 +489,11 @@ ANCHOR_BATCH = 128
 
 @functools.lru_cache(maxsize=8)
 def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
-    """Decimated positions with their ``q``, ``nu_q`` and reach."""
+    """Decimated positions with their ``q``, ``nu_q``, cell-major lifts ``4 nu_q`` and reach."""
     pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
     q = 1.0 / (n - pos + 1.0)
-    grid = (pos, q, _cell_input_weights(q), (n - pos + 1.0) / n)
+    nu = _cell_input_weights(q)
+    grid = (pos, q, nu, (nu * 4.0).T.copy(), (n - pos + 1.0) / n)
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -485,8 +504,8 @@ def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
     n = table.n_positions
     if n <= n_samples:
         return block_gain(table, nu_h).g_block
-    pos, q, nu, omega = _sample_grid(n, n_samples)
-    log2f = np.ascontiguousarray(table._log2_f(q))
+    pos, q, nu, lift, omega = _sample_grid(n, n_samples)
+    log2f = np.ascontiguousarray(table._log2_f(q, lift=lift))
     w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
     return float(np.trapezoid(omega * m_j, pos) / table.beta)

@@ -404,7 +404,8 @@ class TestBarrierAgainstEmOracle:
 
     def test_sparse_counts_with_a_rare_setting(self):
         # one trial each at settings 00 and 11 against ~10^6 at the others:
-        # the unscaled Hessian turns singular to working precision on the way
+        # cell weights span six decades, where a Newton system in unscaled
+        # variables turns singular to working precision
         counts = CountsTable(
             np.array([[1, 0, 420677, 0], [148854, 0, 0, 0], [1, 0, 0, 903579], [1, 0, 0, 0]])
         )
