@@ -534,8 +534,8 @@ def _maximize_loglik(
         if it == max_iter:
             break
         a = t * w + 1.0
-        # dmu = D u with u in the null space of the scaled equalities, an
-        # orthonormal basis Z of which closes a QR of their transpose; the
+        # dmu = D u with u in the null space of the scaled equalities, whose
+        # orthonormal basis Z ends a complete QR of their transpose; the
         # Hessian in u is I + K.T K with K the scaled CHSH rows
         D = mu / np.sqrt(a)
         Z = np.linalg.qr((E8 * D).T, mode="complete")[0][:, 8:]
