@@ -6,6 +6,10 @@ Subcommands mirror the library: ``fit``, ``strength``, ``pef-opt``,
 result carries a hash of the fully resolved inputs so reruns can be checked
 for identity.
 
+Each command imports the layers it runs when it runs, so a process loads
+only those: ``extract-params`` and ``report`` need neither numpy nor
+mpmath, and ``simulate`` loads no PEF optimiser or planner.
+
 Exit codes: 0 success, 1 protocol failure (the accumulated witness did not
 reach the threshold), 2 malformed input or unusable parameters.
 """
@@ -20,11 +24,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from direx import extractor as ext
-from direx import model, pef, planner, protocol
-
 EXIT_OK = 0
 EXIT_PROTOCOL_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -38,10 +37,11 @@ class InputError(Exception):
 class RunManifest:
     """Resolved description of one command invocation.
 
-    Captures the command, its logical parameters (output destinations are
-    excluded, so reruns that only change where results land hash the same),
-    the input files and the seed when the command consumes one.  Every
-    referenced file must exist before execution.
+    Captures the command, its logical parameters (output destinations and
+    execution-only flags such as ``--threads`` are excluded, so reruns that
+    only change where results land or how the work is spread hash the
+    same), the input files and the seed when the command consumes one.
+    Every referenced file must exist before execution.
     """
 
     command: str
@@ -51,7 +51,7 @@ class RunManifest:
 
     @classmethod
     def resolve(cls, command: str, args, files: list[Path]) -> "RunManifest":
-        skip = {"func", "output", "out", "trace", "command"}
+        skip = {"func", "output", "out", "trace", "command", "threads"}
         params = {
             k: str(v)
             for k, v in vars(args).items()
@@ -105,6 +105,8 @@ def _as_csv(obj: dict) -> str:
 
 
 def _load_counts(path: str) -> model.CountsTable:
+    from direx import model
+
     p = Path(path)
     if not p.exists():
         raise InputError(f"counts file not found: {path}")
@@ -118,6 +120,8 @@ def _load_counts(path: str) -> model.CountsTable:
 
 
 def _load_distribution(path: str) -> model.ConditionalDistribution:
+    from direx import model
+
     p = Path(path)
     if not p.exists():
         raise InputError(f"distribution file not found: {path}")
@@ -134,6 +138,8 @@ def _load_distribution(path: str) -> model.ConditionalDistribution:
 
 
 def cmd_fit(args) -> int:
+    from direx import model
+
     counts = _load_counts(args.counts)
     dist, rel_gap = model._fit_mle(counts)
     if args.format == "csv":
@@ -152,6 +158,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_strength(args) -> int:
+    from direx import model
+
     dist = _load_distribution(args.distribution)
     s, rel_gap = model._statistical_strength(dist)
     manifest = RunManifest.resolve("strength", args, [Path(args.distribution)])
@@ -160,6 +168,8 @@ def cmd_strength(args) -> int:
 
 
 def cmd_pef_opt(args) -> int:
+    from direx import pef
+
     dist = _load_distribution(args.distribution)
     table = pef.build_pef_table(
         dist,
@@ -175,6 +185,8 @@ def cmd_pef_opt(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from direx import pef
+
     table = pef.PefTable.from_json(Path(args.pef).read_text())
     dist = _load_distribution(args.distribution)
     rep = pef.block_gain(table, dist)
@@ -187,6 +199,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from direx import planner
+
     dist = _load_distribution(args.distribution)
     files = [Path(args.distribution)]
     if args.k_range:
@@ -207,6 +221,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from direx import protocol
+
     dist = _load_distribution(args.distribution)
     cfg = protocol.RunConfig(
         k=args.k,
@@ -241,6 +257,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_accumulate(args) -> int:
+    from direx import pef, protocol
+
     root = Path(args.data)
     if not root.is_dir() or not (root / "manifest.json").exists():
         raise InputError(f"not a dataset directory: {args.data}")
@@ -285,6 +303,8 @@ def cmd_accumulate(args) -> int:
 
 
 def cmd_extract_params(args) -> int:
+    from direx import extractor as ext
+
     try:
         params = ext.ExtractorParams.budget(
             args.m_in, args.sigma_in, args.eps_ext, args.eps
@@ -302,8 +322,11 @@ def cmd_extract_params(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from direx import extractor as ext
+    from direx import ledger
+
     state_obj = json.loads(Path(args.state).read_text())
-    state = protocol.AccumulatorState(
+    state = ledger.AccumulatorState(
         G_run=state_obj["G_run"],
         N_run=state_obj["N_run"],
         bits_consumed=state_obj["bits_consumed"],
@@ -312,8 +335,8 @@ def cmd_report(args) -> int:
     )
     params = ext.ExtractorParams.from_json(Path(args.extractor).read_text())
     try:
-        rep = protocol.expansion_summary(state, params, args.k)
-    except protocol.ProtocolFailure as e:
+        rep = ledger.expansion_summary(state, params, args.k)
+    except ledger.ProtocolFailure as e:
         print(str(e), file=sys.stderr)
         return EXIT_PROTOCOL_FAILURE
     obj = json.loads(rep.to_json())
@@ -418,6 +441,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the bad-input exception of each layer that defines one
+_LAYER_INPUT_ERRORS = {
+    "direx.model": "MleConvergenceError",
+    "direx.pef": "PefOptimizationError",
+    "direx.planner": "InfeasiblePlan",
+    "direx.protocol": "CalibrationShortfallError",
+}
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """Exceptions reported as bad input (exit 2).
+
+    Only layers already imported are consulted: a layer this process never
+    loaded cannot have raised, and looking it up would load it.
+    """
+    layered = tuple(
+        getattr(sys.modules[module], name)
+        for module, name in _LAYER_INPUT_ERRORS.items()
+        if module in sys.modules
+    )
+    return (ValueError, KeyError, OSError, json.JSONDecodeError, *layered)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -426,16 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        model.MleConvergenceError,
-        pef.PefOptimizationError,
-        planner.InfeasiblePlan,
-        protocol.CalibrationShortfallError,
-    ) as e:
+    except _input_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

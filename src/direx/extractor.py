@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 __all__ = [
     "ExtractorParams",
     "InfeasibleParameters",
@@ -156,13 +154,16 @@ def _ceil_inner(k_out: int, w: int) -> int:
     """Ceiling of the seed-length inner term, at 60 digits near integers.
 
     A 60-digit value within 1e-30 of an integer would be ambiguous and
-    raises instead of guessing.
+    raises instead of guessing.  mpmath is imported only on this branch,
+    so the float path costs no import.
     """
     e = math.e
     if k_out < 2**1000:  # k_out - e fits a float64
         x = (math.log2(k_out - e) - math.log2(w - e)) / (math.log2(e) - math.log2(e - 1))
         if abs(x - round(x)) > CEIL_MARGIN:
             return math.ceil(x)
+    import mpmath
+
     e = mpmath.e
     with mpmath.workdps(60):
         inner = (mpmath.log(k_out - e, 2) - mpmath.log(w - e, 2)) / (

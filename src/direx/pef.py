@@ -315,6 +315,9 @@ class PefTable:
         # are filled in place, a bounded run of rows at a time
         split = int(np.searchsorted(q, qa[1], side="right"))
         bounds = sorted({0, split, q.size} | set(range(0, q.size, _ROWS)))
+        # with the same cells in every row, each cell's lift is one of two
+        # per row: 4 (1 - 0.75 q) for settings 00, and (q / 4) * 4 = q
+        shared = cells[0] < 4 if lift is None and cells.shape[0] == 1 else None
         for a, b in zip(bounds[:-1], bounds[1:]):
             lo = 0 if b <= split else 1
             qs = q[a:b]
@@ -323,7 +326,12 @@ class PefTable:
             o = out[a:b].T
             np.multiply(lam, sy[lo][sel], out=o)
             o += (1 - lam) * sy[lo + 1][sel]
-            o /= _cell_input_weights(qs, sel) * 4.0 if lift is None else lift[:, a:b]
+            if shared is None:
+                o /= _cell_input_weights(qs, sel) * 4.0 if lift is None else lift[:, a:b]
+                continue
+            lift00 = (1.0 - 0.75 * qs) * 4.0
+            for row, is00 in zip(o, shared.tolist()):
+                row /= lift00 if is00 else qs
         return out
 
     def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
+from direx.ledger import consumed_bits, experiment_output_length
 from direx.model import ConditionalDistribution, is_member_T
 from direx.pef import block_gain, build_pef_tables
-from direx.protocol import consumed_bits, experiment_output_length
 
 __all__ = [
     "PlanResult",

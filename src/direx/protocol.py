@@ -1,4 +1,4 @@
-"""Spot-checked block protocol: simulation, accumulation, accounting.
+"""Spot-checked block protocol: simulation, accumulation and file formats.
 
 A block is a run of trials whose length ``L`` is uniform on ``1..2^k``; all
 trials before the last use the fixed settings 00 and the final spot-check
@@ -18,9 +18,12 @@ every block then adds ``sum_j log2 F_j(c_j z_j) / beta`` to the running
 entropy witness until the success threshold is reached.
 
 Randomness budget: each block costs ``k`` bits for its length and 2 bits
-for the spot-check settings.  Counter-based generators keyed by
+for the spot-check settings; that accounting lives in :mod:`direx.ledger`,
+whose names this module re-exports.  Counter-based generators keyed by
 ``(seed, stream)`` make simulated datasets and witness traces bit-exact
-reproducible regardless of how work is sharded.
+reproducible regardless of how work is sharded.  Only :func:`accumulate`
+needs :mod:`direx.pef`, so it is imported there: simulating loads no
+PEF layer.
 """
 
 from __future__ import annotations
@@ -29,13 +32,25 @@ import json
 import math
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from direx.ledger import (
+    BITS_PER_SPOT_CHECK,
+    AccumulatorState,
+    ExpansionReport,
+    ProtocolFailure,
+    consumed_bits,
+    experiment_output_length,
+    expansion_summary,
+)
 from direx.model import ConditionalDistribution, CountsTable, fit_mle
-from direx.pef import PefTable, is_valid_pef
+
+if TYPE_CHECKING:
+    from direx.pef import PefTable
 
 __all__ = [
     "BlockRecord",
@@ -63,17 +78,8 @@ __all__ = [
     "write_trace_csv",
 ]
 
-_LN2 = math.log(2.0)
-
-BITS_PER_SPOT_CHECK = 2
-
-
 class CalibrationShortfallError(RuntimeError):
     """A cycle cannot assemble the minimum number of calibration trials."""
-
-
-class ProtocolFailure(RuntimeError):
-    """Raised when an operation requires a successful run."""
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -268,20 +274,6 @@ class RunConfig:
         return self.beta * self.G_min
 
 
-@dataclass
-class AccumulatorState:
-    """Running totals of an accumulation pass."""
-
-    G_run: float = 0.0
-    N_run: int = 0
-    bits_consumed: int = 0
-    succeeded: bool = False
-    stop_block: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(frozen=True)
 class ExpansionFile:
     blocks: Blocks
@@ -298,59 +290,6 @@ class CycleData:
     @property
     def blocks(self) -> tuple[BlockRecord, ...]:
         return tuple(b for f in self.files for b in f.blocks)
-
-
-def consumed_bits(N_run: int, k: int) -> int:
-    """Input randomness spent on block lengths and spot-check settings."""
-    if N_run < 0:
-        raise ValueError("N_run must be nonnegative")
-    return N_run * (k + BITS_PER_SPOT_CHECK)
-
-
-def experiment_output_length(N_b: int, k: int) -> int:
-    """Padded output length m_in of a full run, in bits.
-
-    Every block is zero-padded to ``2^k`` trials of 2 outcome bits, so the
-    output has ``N_b * 2^k * 2`` bits whatever the realised block lengths.
-    """
-    return N_b * 2**k * 2
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Input/output accounting of a successful run."""
-
-    k_out: int
-    bits_consumed: int
-    seed_bits: int
-    k_in: int
-    ratio: float
-    net_bits: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
-
-def expansion_summary(state: AccumulatorState, extractor, k: int) -> ExpansionReport:
-    """Expansion ratio achieved by a successful accumulation.
-
-    ``k_in`` counts the ``(k+2)`` bits per processed block plus the
-    extractor seed; ``ratio = k_out / k_in``.
-    """
-    if not state.succeeded:
-        raise ProtocolFailure("expansion summary requires a successful run")
-    consumed = consumed_bits(state.N_run, k)
-    if consumed != state.bits_consumed:
-        raise ValueError("state ledger disagrees with (k+2) * N_run")
-    k_in = consumed + extractor.d_s
-    return ExpansionReport(
-        k_out=extractor.k_out,
-        bits_consumed=consumed,
-        seed_bits=extractor.d_s,
-        k_in=k_in,
-        ratio=extractor.k_out / k_in,
-        net_bits=extractor.k_out - k_in,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +549,8 @@ def accumulate(
     pipelines the next cycle's calibration fit and table build alongside
     the current cycle's block processing.
     """
+    from direx.pef import is_valid_pef
+
     state = AccumulatorState()
     rows: list[np.ndarray] = []
     per_file = cfg.check_granularity == "file"

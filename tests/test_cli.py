@@ -1,14 +1,25 @@
-"""End-to-end command-line tests (in-process via cli.main)."""
+"""End-to-end command-line tests (in-process via cli.main).
+
+Every JSON a command prints or writes is parsed strictly: ``NaN`` and
+``Infinity`` are not JSON, so :func:`strict_json` refuses them.  The
+import-set tests run commands in fresh interpreters instead.
+"""
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import direx
 from direx import cli, pef, planner, protocol
 from direx.data import commissioning_counts, commissioning_distribution
 from direx.model import ConditionalDistribution
@@ -28,11 +39,20 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def strict_json(text: str):
+    """``text`` parsed as JSON proper, raising on ``NaN`` or ``Infinity``."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name} in command output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestFit:
     def test_fit_matches_bundled_distribution(self, workdir, capsys):
         code, out = run(capsys, "fit", workdir / "counts.json")
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         got = np.array(obj["p"])
         want = commissioning_distribution().table
         assert np.abs(got - want).max() < 1e-6
@@ -76,7 +96,7 @@ class TestStrength:
     def test_value(self, workdir, capsys):
         code, out = run(capsys, "strength", workdir / "dist.json")
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert obj["statistical_strength_bits"] == pytest.approx(3.0329e-6, rel=5e-3)
         assert 0.0 <= obj["strength_rel_gap"] <= 1e-3
 
@@ -111,7 +131,7 @@ class TestPefRoundTrip:
         assert code == 0
         code, out = run(capsys, "rate", workdir / "pef.json", workdir / "dist.json")
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         table = pef.build_pef_table(
             commissioning_distribution(), 1e-6, 6, optimize_j_mid=True
         )
@@ -131,7 +151,7 @@ class TestExtractParams:
             "--beta", "4.7614e-8",
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert obj["k_out"] == 1_181_264_237
         assert obj["d_s"] == 3_725_074
         assert obj["in_set_X"] is True
@@ -162,7 +182,7 @@ class TestSimulateAccumulate:
             "--j-mid", str(table.j_mid), "--n-calib-min", "60000",
             "--trace", workdir / "trace.csv",
         )
-        obj = json.loads(out)
+        obj = strict_json(out)
 
         # in-process oracle: same dataset, same builder, same config
         cycles, _ = protocol.load_dataset(ds)
@@ -244,21 +264,44 @@ class TestSimulateAccumulate:
 
     def test_simulate_identical_bytes_across_threads(self, workdir, capsys):
         # three chunks: two shards on a process pool at --threads 2
-        files = {}
+        files, hashes = {}, {}
         for threads in (1, 2):
             ds = workdir / f"threads-{threads}"
-            code, _ = run(
+            code, out = run(
                 capsys, "simulate", workdir / "dist.json", "--k", "3", "--blocks",
                 3 * protocol._CHUNK - 100, "--seed", "9", "--blocks-per-file", "2000",
                 "--out", ds, "--threads", threads,
             )
             assert code == 0
+            hashes[threads] = strict_json(out)["manifest_hash"]
             files[threads] = {
                 p.relative_to(ds): p.read_bytes()
-                for p in sorted(ds.glob("cycle_*/*"))
+                for p in sorted(ds.rglob("*"))
+                if p.is_file()
             }
         assert sum(p.suffix == ".blocks" for p in files[1]) == 7
+        assert Path("manifest.json") in files[1]
         assert files[1] == files[2]
+        assert hashes[1] == hashes[2]
+
+    def test_accumulate_identical_output_across_threads(self, workdir, capsys):
+        # three cycles, so that --threads 2 fits the next cycle on a pool
+        ds = workdir / "acc-threads"
+        code, _ = run(
+            capsys, "simulate", workdir / "dist.json", "--k", "4", "--blocks", "300",
+            "--seed", "5", "--blocks-per-file", "50", "--files-per-cycle", "2",
+            "--out", ds, "--threads", "1",
+        )
+        assert code == 0
+        outs = {}
+        for threads in (1, 2):
+            code, outs[threads] = run(
+                capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1e9",
+                "--threads", threads,
+            )
+            assert code == cli.EXIT_PROTOCOL_FAILURE
+        assert strict_json(outs[1])["N_run"] == 300
+        assert outs[1] == outs[2]
 
     def test_invalid_pef_table_exit_2(self, workdir, capsys, monkeypatch):
         ds = workdir / "invalid-pef"
@@ -329,7 +372,7 @@ class TestSimulateAccumulate:
         def manifest_hash() -> str:
             code, out = run(capsys, *argv)
             assert code in (0, 1)
-            return json.loads(out)["manifest_hash"]
+            return strict_json(out)["manifest_hash"]
 
         before = manifest_hash()
         assert manifest_hash() == before
@@ -375,7 +418,7 @@ class TestReport:
             capsys, "report", workdir / "state.json", workdir / "ext.json", "--k", "17"
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert round(obj["ratio"], 2) == 1.24
 
     def test_failed_state_exit_1(self, workdir, capsys):
@@ -399,7 +442,7 @@ class TestPlan:
             "--eps", "1e-3", "--k", "4", "--blocks", "10000000",
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert obj["feasible"] is True
         assert obj["sigma_net"] > 0
 
@@ -418,7 +461,7 @@ class TestPlan:
             capsys, "plan", workdir / "dist.json", "--eps", "1e-3", "--k-range", "3:4"
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = strict_json(out)
         assert obj["k_opt"] == 4
         assert calls == [(1e-3, range(3, 5))]
 
@@ -440,10 +483,7 @@ class TestPlan:
         )
         assert code == 0
 
-        def refuse(name):
-            raise ValueError(f"non-JSON constant {name} on stdout")
-
-        obj = json.loads(out, parse_constant=refuse)
+        obj = strict_json(out)
         assert len(obj["evaluations"]) >= planner.BETA_GRID_POINTS
         assert obj["evaluations"][0] == [1e-10, None]
         assert [tuple(e) for e in obj["evaluations"][20:]] == evaluations[20:]
@@ -467,7 +507,7 @@ class TestRunManifest:
             "--k", "4", "--blocks", "20", "--seed", "9", "--out", workdir / "dm",
         )
         assert code == 0
-        assert json.loads(out)["seed"] == 9
+        assert strict_json(out)["seed"] == 9
 
     def test_referenced_files_checked_before_execution(self, workdir, capsys):
         code, _ = run(
@@ -482,6 +522,88 @@ class TestRunManifest:
             "--output", workdir / "s.json",
         )
         assert code == 0
-        h1 = json.loads(out1)["manifest_hash"]
-        h2 = json.loads((workdir / "s.json").read_text())["manifest_hash"]
+        h1 = strict_json(out1)["manifest_hash"]
+        h2 = strict_json((workdir / "s.json").read_text())["manifest_hash"]
         assert h1 == h2
+
+
+#: run ``direx`` with the arguments after the first, then write the names
+#: of every module the interpreter loaded to the file named first
+_PROBE = """
+import json, sys
+from direx import cli
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(sys.modules), fh)
+sys.exit(code)
+"""
+
+
+def loaded_modules(tmp_path, *argv) -> set[str]:
+    """Modules a fresh interpreter has loaded when ``direx *argv`` ends."""
+    src = str(Path(direx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    listing = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(listing), *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(strict_json(listing.read_text()))
+
+
+class TestImportSets:
+    """Each command loads only the layers it runs."""
+
+    EXTRACT = ("extract-params", "--m-in", "14698652631040", "--sigma-in", "1181264480",
+               "--eps-ext", "1.78e-9", "--eps", "5.7e-7", "--beta", "4.7614e-8")
+
+    def test_extract_params_and_report_load_no_numpy_or_mpmath(self, tmp_path):
+        modules = loaded_modules(tmp_path, *self.EXTRACT, "--output", tmp_path / "ext.json")
+        assert not {"numpy", "mpmath"} & modules
+        assert strict_json((tmp_path / "ext.json").read_text())["in_set_X"] is True
+        state = direx.AccumulatorState(
+            G_run=1.7e9, N_run=1000, bits_consumed=19_000, succeeded=True, stop_block=1000
+        )
+        (tmp_path / "state.json").write_text(json.dumps(state.to_dict()))
+        modules = loaded_modules(
+            tmp_path, "report", tmp_path / "state.json", tmp_path / "ext.json", "--k", "17"
+        )
+        assert "direx.ledger" in modules
+        assert not {"numpy", "mpmath", "direx.protocol"} & modules
+
+    def test_simulate_and_accumulate_load_no_planner_or_mpmath(self, workdir, tmp_path):
+        ds = tmp_path / "ds"
+        modules = loaded_modules(
+            tmp_path, "simulate", workdir / "dist.json", "--k", "4", "--blocks", "40",
+            "--seed", "3", "--out", ds, "--threads", "1",
+        )
+        assert "direx.protocol" in modules
+        assert not {"direx.planner", "mpmath", "direx.pef", "direx._ipm"} & modules
+        modules = loaded_modules(
+            tmp_path, "accumulate", ds, "--beta", "1e-6", "--gmin=-1e9", "--threads", "1"
+        )
+        assert "direx.pef" in modules
+        assert not {"direx.planner", "mpmath"} & modules
+
+
+class TestLazyExports:
+    def test_every_export_resolves_to_its_layer(self):
+        for name in direx.__all__:
+            value = getattr(direx, name)
+            if name in direx._SUBMODULES:
+                assert value is importlib.import_module(f"direx.{name}")
+            else:
+                assert value is getattr(importlib.import_module(direx._OWNER[name]), name)
+
+    def test_dir_and_star_import_list_every_export(self):
+        assert len(direx.__all__) == 41
+        assert set(direx.__all__) <= set(dir(direx))
+        namespace: dict = {}
+        exec("from direx import *", namespace)
+        assert set(direx.__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_layer"):
+            direx.no_such_layer
