@@ -589,21 +589,15 @@ class TestImportSets:
 
 
 class TestLazyExports:
-    def test_every_export_resolves_to_its_layer(self):
-        for name in direx.__all__:
-            value = getattr(direx, name)
-            if name in direx._SUBMODULES:
-                assert value is importlib.import_module(f"direx.{name}")
-            else:
-                assert value is getattr(importlib.import_module(direx._OWNER[name]), name)
-
-    def test_dir_and_star_import_list_every_export(self):
+    def test_every_export_resolves_to_its_layer_and_is_listed(self):
         assert len(direx.__all__) == 41
         assert set(direx.__all__) <= set(dir(direx))
+        for name in direx.__all__:
+            if name in direx._SUBMODULES:
+                want = importlib.import_module(f"direx.{name}")
+            else:
+                want = getattr(importlib.import_module(direx._OWNER[name]), name)
+            assert getattr(direx, name) is want
         namespace: dict = {}
         exec("from direx import *", namespace)
         assert set(direx.__all__) <= set(namespace)
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_layer"):
-            direx.no_such_layer
