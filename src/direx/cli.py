@@ -23,6 +23,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from direx import model
 
 EXIT_OK = 0
 EXIT_PROTOCOL_FAILURE = 1

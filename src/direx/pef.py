@@ -328,10 +328,10 @@ class PefTable:
             o += (1 - lam) * sy[lo + 1][sel]
             if shared is None:
                 o /= _cell_input_weights(qs, sel) * 4.0 if lift is None else lift[:, a:b]
-                continue
-            lift00 = (1.0 - 0.75 * qs) * 4.0
-            for row, is00 in zip(o, shared.tolist()):
-                row /= lift00 if is00 else qs
+            else:
+                lift00 = (1.0 - 0.75 * qs) * 4.0
+                for row, is00 in zip(o, shared.tolist()):
+                    row /= lift00 if is00 else qs
         return out
 
     def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:

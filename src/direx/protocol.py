@@ -78,6 +78,7 @@ __all__ = [
     "write_trace_csv",
 ]
 
+
 class CalibrationShortfallError(RuntimeError):
     """A cycle cannot assemble the minimum number of calibration trials."""
 
