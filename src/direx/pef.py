@@ -279,21 +279,14 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         return j
 
-    def _excess(
-        self,
-        q: np.ndarray,
-        cells: np.ndarray | None = None,
-        lift: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _excess(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
         ``cells`` keeps only some flat cells: a ``(1, c)`` index array the
         same ``c`` cells of every row, an ``(n, 1)`` array one cell per row;
-        without it all 16 are kept, and ``lift`` may then hold the lifts
-        ``4 nu_q`` of every row cell-major, shape ``(16, n)``, which are
-        otherwise built a run of rows at a time.  The result is stored
-        cell-major, so that every operation runs along the positions, and
-        each entry takes the same arithmetic whichever cells are kept.
+        without it all 16 are kept.  The result is stored cell-major, so that
+        every operation runs along the positions, and each entry takes the
+        same arithmetic whichever cells are kept.
         """
         if cells is None:
             cells = _ALL_CELLS
@@ -301,11 +294,7 @@ class PefTable:
         if q.size > 1 and (q[1:] < q[:-1]).any():
             order = np.argsort(q, kind="stable")
             out = np.empty((q.size, cells.shape[1]))
-            out[order] = self._excess(
-                q[order],
-                cells if cells.shape[0] == 1 else cells[order],
-                None if lift is None else lift[:, order],
-            )
+            out[order] = self._excess(q[order], cells if cells.shape[0] == 1 else cells[order])
             return out
         qa = np.array([a.position_q for a in self.anchors])
         ya = np.array([a.excess.ravel() for a in self.anchors])
@@ -317,7 +306,7 @@ class PefTable:
         bounds = sorted({0, split, q.size} | set(range(0, q.size, _ROWS)))
         # with the same cells in every row, each cell's lift is one of two
         # per row: 4 (1 - 0.75 q) for settings 00, and (q / 4) * 4 = q
-        shared = cells[0] < 4 if lift is None and cells.shape[0] == 1 else None
+        shared = cells[0] < 4 if cells.shape[0] == 1 else None
         for a, b in zip(bounds[:-1], bounds[1:]):
             lo = 0 if b <= split else 1
             qs = q[a:b]
@@ -327,7 +316,7 @@ class PefTable:
             np.multiply(lam, sy[lo][sel], out=o)
             o += (1 - lam) * sy[lo + 1][sel]
             if shared is None:
-                o /= _cell_input_weights(qs, sel) * 4.0 if lift is None else lift[:, a:b]
+                o /= _cell_input_weights(qs, sel) * 4.0
             else:
                 lift00 = (1.0 - 0.75 * qs) * 4.0
                 for row, is00 in zip(o, shared.tolist()):
@@ -343,13 +332,8 @@ class PefTable:
         j = self._checked(positions)
         return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells)
 
-    def _log2_f(
-        self,
-        q: np.ndarray,
-        cells: np.ndarray | None = None,
-        lift: np.ndarray | None = None,
-    ) -> np.ndarray:
-        out = self._excess(q, cells, lift)
+    def _log2_f(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        out = self._excess(q, cells)
         out *= self.beta
         np.log1p(out, out=out)
         out /= _LN2
@@ -497,11 +481,11 @@ ANCHOR_BATCH = 128
 
 @functools.lru_cache(maxsize=8)
 def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
-    """Decimated positions with their ``q``, ``nu_q``, cell-major lifts ``4 nu_q`` and reach."""
+    """Decimated positions with their ``q``, ``nu_q`` and reach."""
     pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
     q = 1.0 / (n - pos + 1.0)
     nu = _cell_input_weights(q)
-    grid = (pos, q, nu, (nu * 4.0).T.copy(), (n - pos + 1.0) / n)
+    grid = (pos, q, nu, (n - pos + 1.0) / n)
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -512,8 +496,8 @@ def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
     n = table.n_positions
     if n <= n_samples:
         return block_gain(table, nu_h).g_block
-    pos, q, nu, lift, omega = _sample_grid(n, n_samples)
-    log2f = np.ascontiguousarray(table._log2_f(q, lift=lift))
+    pos, q, nu, omega = _sample_grid(n, n_samples)
+    log2f = np.ascontiguousarray(table._log2_f(q))
     w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
     return float(np.trapezoid(omega * m_j, pos) / table.beta)
