@@ -42,6 +42,9 @@ _LN2 = math.log(2.0)
 #: interest are 1e-4 and larger, so this only matters for zero-gain inputs
 GAP_FLOOR = 1e-12
 
+#: certified relative duality gap at which a solve stops
+REL_TOL = 1e-7
+
 
 class PefOptimizationError(RuntimeError):
     """Solver failed to certify the requested optimality gap.
@@ -336,12 +339,7 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
 
 
 def solve_trial_pef(
-    w: np.ndarray,
-    A_full: np.ndarray,
-    rho: np.ndarray,
-    beta: float,
-    rel_tol: float = 1e-7,
-    strict: bool = True,
+    w: np.ndarray, A_full: np.ndarray, rho: np.ndarray, beta: float, strict: bool = True
 ) -> PefSolution:
     """Optimise a trial PEF in deviation coordinates.
 
@@ -351,16 +349,16 @@ def solve_trial_pef(
     zero weight are excluded from the optimisation (their deviation is
     returned as 0) and constraint rows that do not touch the support are
     vacuous.  Raises :class:`PefOptimizationError` if the certified relative
-    gap exceeds ``max(rel_tol, 1e-6)``; with ``strict=False`` the best
+    gap exceeds ``max(REL_TOL, 1e-6)``; with ``strict=False`` the best
     feasible iterate is returned instead together with its certified gap
     (useful for coarse design sweeps at extreme powers where float64 cannot
     certify below roughly 1e-5).  This is :func:`solve_trial_pefs` on a
     stack of one.
     """
-    return solve_trial_pefs([(w, A_full, rho, beta)], rel_tol, strict)[0]
+    return solve_trial_pefs([(w, A_full, rho, beta)], strict)[0]
 
 
-def solve_trial_pefs(problems, rel_tol: float = 1e-7, strict: bool = True) -> list[PefSolution]:
+def solve_trial_pefs(problems, strict: bool = True) -> list[PefSolution]:
     """:func:`solve_trial_pef` for many ``(w, A_full, rho, beta)`` problems.
 
     Problems of equal reduced shape share one interior-point loop; each
@@ -376,10 +374,10 @@ def solve_trial_pefs(problems, rel_tol: float = 1e-7, strict: bool = True) -> li
         ws, A, r, beta = (np.stack([reduced[i][f] for i in ids]) for f in range(4))
         for row, i in enumerate(ids):  # keep one copy of each problem: the stack's
             reduced[i] = (ws[row], A[row], r[row], *reduced[i][3:])
-        stack = _pdipm(ws, A, r, beta, rel_tol)
+        stack = _pdipm(ws, A, r, beta, REL_TOL)
         for row, i in enumerate(ids):
             bests[i] = tuple(v[row].copy() if v.ndim > 1 else v[row] for v in stack)
-    out = [_finish(red, best, rel_tol, strict) for red, best in zip(reduced, bests)]
+    out = [_finish(red, best, strict) for red, best in zip(reduced, bests)]
     for sol in out:
         if isinstance(sol, PefOptimizationError):
             raise sol
@@ -403,20 +401,20 @@ def _reduce(w, A_full, rho, beta):
     return ws, A, r, float(beta), sup, keep, A_full.shape[0]
 
 
-def _finish(reduced, best, rel_tol, strict) -> PefSolution | PefOptimizationError:
+def _finish(reduced, best, strict) -> PefSolution | PefOptimizationError:
     """Polish one interior-point result and certify it."""
     ws, A, r, beta, sup, keep, n_rows = reduced
     best = (best[0], float(best[1]), float(best[2]), best[3])
     m = A.shape[1]
-    if best[2] > max(rel_tol * abs(best[1]), GAP_FLOOR):
+    if best[2] > max(REL_TOL * abs(best[1]), GAP_FLOOR):
         best = _polish(ws, A, r, beta, best[0], best[3], best)
-    if best[2] > max(rel_tol * abs(best[1]), GAP_FLOOR):
+    if best[2] > max(REL_TOL * abs(best[1]), GAP_FLOOR):
         # fall back to scanning candidate faces by ascending slack
         order = np.argsort(r - A @ best[0])
         for size in range(1, min(A.shape[0], 2 * m) + 1):
             cand = [int(i) for i in order[:size]]
             best = _polish(ws, A, r, beta, best[0], best[3], best, act=cand)
-            if best[2] <= max(rel_tol * abs(best[1]), GAP_FLOOR):
+            if best[2] <= max(REL_TOL * abs(best[1]), GAP_FLOOR):
                 break
 
     y, pv, gap, lam = best
@@ -425,7 +423,7 @@ def _finish(reduced, best, rel_tol, strict) -> PefSolution | PefOptimizationErro
     y_full[sup] = y
     lam_full = np.zeros(n_rows)
     lam_full[keep] = lam[: keep.sum()]  # bound-row duals are internal
-    if not math.isfinite(gap) or gap > max(max(rel_tol, 1e-6) * abs(pv), GAP_FLOOR):
+    if not math.isfinite(gap) or gap > max(max(REL_TOL, 1e-6) * abs(pv), GAP_FLOOR):
         if strict or not math.isfinite(gap):
             return PefOptimizationError(
                 f"PEF optimisation stalled with certified relative gap {rel_gap:.3e}",

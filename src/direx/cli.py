@@ -192,6 +192,9 @@ def cmd_rate(args) -> int:
     from direx import pef
 
     table = pef.PefTable.from_json(Path(args.pef).read_text())
+    for i, a in enumerate(table.anchors):
+        if not pef.is_valid_pef(a, a.position_q):
+            raise InputError(f"{args.pef}: anchor {i} fails the PEF inequality")
     dist = _load_distribution(args.distribution)
     rep = pef.block_gain(table, dist)
     obj = json.loads(rep.to_json())
@@ -228,10 +231,11 @@ def cmd_simulate(args) -> int:
     from direx import protocol
 
     dist = _load_distribution(args.distribution)
+    # simulation reads only k, N_b, the seed and the dead time: beta and G_min are unused
     cfg = protocol.RunConfig(
         k=args.k,
-        beta=args.beta or 1e-7,
-        G_min=args.gmin or 0.0,
+        beta=1e-7,
+        G_min=0.0,
         N_b=args.blocks,
         n_calib_min=args.calib_trials,
         seed=args.seed,
@@ -279,7 +283,7 @@ def cmd_accumulate(args) -> int:
         G_min=args.gmin,
         N_b=args.blocks or n_blocks,
         n_calib_min=args.n_calib_min,
-        seed=args.seed,
+        seed=0,  # the analysis draws nothing at random
         check_granularity=args.check_granularity,
     )
 
@@ -329,14 +333,7 @@ def cmd_report(args) -> int:
     from direx import extractor as ext
     from direx import ledger
 
-    state_obj = json.loads(Path(args.state).read_text())
-    state = ledger.AccumulatorState(
-        G_run=state_obj["G_run"],
-        N_run=state_obj["N_run"],
-        bits_consumed=state_obj["bits_consumed"],
-        succeeded=state_obj["succeeded"],
-        stop_block=state_obj.get("stop_block"),
-    )
+    state = ledger.AccumulatorState.from_dict(json.loads(Path(args.state).read_text()))
     params = ext.ExtractorParams.from_json(Path(args.extractor).read_text())
     try:
         rep = ledger.expansion_summary(state, params, args.k)
@@ -403,8 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gmin", type=float)
     p.add_argument("--blocks-per-file", type=int, default=1024)
     p.add_argument("--files-per-cycle", type=int, default=4)
     p.add_argument("--calib-trials", type=int, default=100_000)
@@ -421,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int)
     p.add_argument("--n-calib-min", type=int, default=1)
     p.add_argument("--j-mid", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-granularity", choices=("block", "file"), default="block")
     p.add_argument("--trace", help="write the witness trace CSV here")
     p.add_argument("--trace-decimation", type=int, default=1)
@@ -465,7 +459,7 @@ def _input_errors() -> tuple[type[Exception], ...]:
         for module, name in _LAYER_INPUT_ERRORS.items()
         if module in sys.modules
     )
-    return (ValueError, KeyError, OSError, json.JSONDecodeError, *layered)
+    return (ValueError, KeyError, OSError, RecursionError, *layered)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from direx.ledger import plain_fields
+
 __all__ = [
     "ExtractorParams",
     "InfeasibleParameters",
@@ -263,16 +265,8 @@ class ExtractorParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ExtractorParams":
-        o = json.loads(text)
-        return cls(
-            m_in=int(o["m_in"]),
-            sigma_in=float(o["sigma_in"]),
-            eps_ext=float(o["eps_ext"]),
-            eps=float(o["eps"]),
-            k_out=int(o["k_out"]),
-            d_s=int(o["d_s"]),
-            w=int(o["w"]),
-        )
+        """The parameters :meth:`to_json` wrote; ``ValueError`` on any other shape."""
+        return cls(**plain_fields(cls, json.loads(text), "extractor parameters"))
 
 
 def check_set_X(params: ExtractorParams, beta: float) -> bool:

@@ -10,7 +10,7 @@ ledger and reporting needs no numerical layer.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 __all__ = [
     "BITS_PER_SPOT_CHECK",
@@ -41,6 +41,31 @@ class AccumulatorState:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj) -> "AccumulatorState":
+        """The state :meth:`to_dict` gave; ``ValueError`` on any other shape."""
+        return cls(**plain_fields(cls, obj, "accumulator state"))
+
+
+def plain_fields(cls, obj, what: str) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a decoded JSON object.
+
+    A field annotated ``int`` takes an integer, ``float`` any number and
+    ``bool`` a boolean; one annotated ``... | None`` may also be null or
+    absent.  Anything else raises ``ValueError``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    kinds = {"int": int, "float": (int, float), "bool": bool}
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        v = obj.get(f.name)
+        if not (v is None and optional) and (
+            isinstance(v, bool) != (kind == "bool") or not isinstance(v, kinds[kind])
+        ):
+            raise ValueError(f"{what}: {f.name!r} must be of type {f.type}")
+    return {f.name: obj.get(f.name) for f in fields(cls)}
 
 
 def consumed_bits(N_run: int, k: int) -> int:

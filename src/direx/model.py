@@ -186,9 +186,6 @@ class ConditionalDistribution:
         """All eight signed CHSH combinations of the four correlators."""
         return _chsh_sign_matrix() @ self.correlators()
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return bool(np.abs(self.table.sum(axis=1) - 1.0).max() <= tol)
-
     def __eq__(self, other):
         if not isinstance(other, ConditionalDistribution):
             return NotImplemented
@@ -260,13 +257,6 @@ class CountsTable:
 
     def setting_totals(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def empirical(self) -> ConditionalDistribution:
-        """Row-normalised frequencies (requires every setting observed)."""
-        tot = self.setting_totals()
-        if (tot == 0).any():
-            raise ValueError("every settings pair needs at least one count")
-        return ConditionalDistribution(self.counts / tot[:, None])
 
     def to_json(self) -> str:
         return json.dumps(

@@ -10,8 +10,11 @@ Products of per-trial PEFs over a block witness accumulated randomness: the
 block rate is ``E[log2 F]/beta`` summed over positions weighted by the
 probability the block reaches them.  At the powers used in practice
 (``beta ~ 5e-8``) the optimal ``F`` sits within parts in 1e6 of the constant
-table, so this module tracks PEFs in deviation form ``F = 1 + beta * y``
-wherever precision matters.
+table, so this module holds PEFs in deviation form ``F = 1 + beta * y``
+everywhere: a :class:`TrialPef` holds the deviation table ``y`` alone.  The
+inequality runs over the 80 vertices of
+:func:`direx.model.enumerate_extreme_points`, and every anchor is solved to
+the one tolerance ``_ipm.REL_TOL``.
 
 Per-position PEFs for a whole block come from three optimised anchors at
 positions ``1 < j_mid < 2^k``; :meth:`PefTable.excess_at` is the one path
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,6 @@ from direx._ipm import (
 from direx.model import (
     ConditionalDistribution,
     InputDistribution,
-    PolytopeVertexSet,
     enumerate_extreme_points,
     input_distribution,
 )
@@ -82,25 +85,20 @@ class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
 
 
-def _cell_input_weights(q, cells=None) -> np.ndarray:
+def _cell_input_weights(q) -> np.ndarray:
     """nu_q(z) per flat cell (settings-major), shape ``(..., 16)`` for ``q``.
 
     ``q`` may be a scalar or an array; this is the only place the input
-    weights are built.  With ``cells``, flat cell indices broadcast against
-    ``q``, it gives each element the weight of its cell only.
+    weights are built.
     """
     q = np.asarray(q, dtype=np.float64)
-    if cells is not None:
-        return np.where(cells < 4, 1.0 - 0.75 * q, q / 4.0)
     out = np.empty(q.shape + (16,))
     out[..., :4] = (1.0 - 0.75 * q)[..., None]
     out[..., 4:] = (q / 4.0)[..., None]
     return out
 
 
-def pef_constraints(
-    q: float, beta: float, vertices: PolytopeVertexSet | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pef_constraints(q: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Constraint system of the PEF inequality in deviation coordinates.
 
     Returns ``(A, rho)`` with ``A[v, i] = nu_q(z_i) * mu_v(c_i|z_i)^(1+beta)``
@@ -108,8 +106,7 @@ def pef_constraints(
     without cancellation, so that ``F = 1 + beta*y`` is a valid PEF iff
     ``A y <= rho``.  Local-deterministic vertices give ``rho_v = 0`` exactly.
     """
-    if vertices is None:
-        vertices = enumerate_extreme_points()
+    vertices = enumerate_extreme_points()
     V = vertices.vertices
     nu = _cell_input_weights(q)
     e1 = np.expm1(beta * vertices.log_vertices)  # 0 where mu = 0
@@ -121,32 +118,31 @@ def pef_constraints(
 
 @dataclass(frozen=True)
 class TrialPef:
-    """PEF table for one trial position.
+    """PEF table for one trial position, in deviation form.
 
-    ``f`` holds the (4, 4) values ``F(ab|xy)`` in the standard layout.  When
-    present, the deviation table ``excess = (F - 1)/beta`` carries the full
-    working precision.
+    ``excess`` holds the (4, 4) deviations ``y = (F - 1)/beta`` in the
+    standard layout and carries the full working precision; ``f`` is the
+    table ``F(ab|xy) = 1 + beta * y`` they stand for.
     """
 
-    f: np.ndarray
+    excess: np.ndarray
     beta: float
     position_q: float
-    excess: np.ndarray | None = None
 
     def __post_init__(self):
-        f = np.ascontiguousarray(self.f, dtype=np.float64)
-        if f.shape != (4, 4):
-            raise ValueError(f"expected a (4, 4) PEF table, got {f.shape}")
-        if (f < 0).any():
-            raise ValueError("PEF values must be nonnegative")
-        if self.beta <= 0:
-            raise ValueError("the power beta must be positive")
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        if self.excess is not None:
-            y = np.ascontiguousarray(self.excess, dtype=np.float64)
-            y.setflags(write=False)
-            object.__setattr__(self, "excess", y)
+        y = np.ascontiguousarray(self.excess, dtype=np.float64)
+        if y.shape != (4, 4) or not 0.0 < self.beta < math.inf:
+            raise ValueError(f"expected a (4, 4) table at a power > 0, got {y.shape}, {self.beta}")
+        y.setflags(write=False)
+        object.__setattr__(self, "excess", y)
+        with np.errstate(over="ignore"):
+            f = self.f
+        if not (np.isfinite(f) & (f >= 0)).all():
+            raise ValueError("PEF values must be finite and nonnegative")
+
+    @property
+    def f(self) -> np.ndarray:
+        return 1.0 + self.beta * self.excess
 
     @classmethod
     def constant_one(cls, beta: float, q: float) -> "TrialPef":
@@ -154,40 +150,23 @@ class TrialPef:
 
     @classmethod
     def from_excess(cls, excess: np.ndarray, beta: float, q: float) -> "TrialPef":
-        excess = np.asarray(excess, dtype=np.float64)
-        return cls(f=1.0 + beta * excess, beta=beta, position_q=q, excess=excess)
-
-    def flat_outcome_major(self) -> np.ndarray:
-        """Flat 16-vector ordered by (ab, xy), outcomes major."""
-        return self.f.T.ravel()
+        return cls(excess=excess, beta=beta, position_q=q)
 
 
 def is_valid_pef(
-    f: TrialPef,
-    q: InputDistribution | float,
-    vertices: PolytopeVertexSet | None = None,
-    tol: float = PEF_VALIDITY_TOL,
+    f: TrialPef, q: InputDistribution | float, tol: float = PEF_VALIDITY_TOL
 ) -> bool:
     """Check the PEF inequality at every extreme point of the polytope."""
-    if vertices is None:
-        vertices = enumerate_extreme_points()
     qv = q.q if isinstance(q, InputDistribution) else float(q)
-    if (f.f < -tol).any():
-        return False
-    A, rho = pef_constraints(qv, f.beta, vertices)
-    if f.excess is not None:
-        # constraint in deviation form avoids the 1 +/- 1e-6 cancellation
-        return bool((A @ f.excess.ravel() <= rho + tol / f.beta).all())
-    lhs = A @ f.f.ravel()
-    return bool((lhs <= 1.0 + tol).all())
+    A, rho = pef_constraints(qv, f.beta)
+    # constraint in deviation form avoids the 1 +/- 1e-6 cancellation
+    return bool((A @ f.excess.ravel() <= rho + tol / f.beta).all())
 
 
 def optimize_trial_pef(
     nu_h: ConditionalDistribution,
     q: InputDistribution | float,
     beta: float,
-    vertices: PolytopeVertexSet | None = None,
-    rel_tol: float = 1e-7,
     strict: bool = True,
 ) -> tuple[TrialPef, float]:
     """Best trial PEF for honest distribution ``nu_h`` at one position.
@@ -195,25 +174,23 @@ def optimize_trial_pef(
     Maximises ``E[log2 F]/beta`` under the honest joint distribution
     ``nu_q(z) * nu_h(c|z)`` subject to the PEF inequality at all extreme
     points.  Returns the PEF and its certified gain in bits; the certified
-    relative duality gap is at most ``max(rel_tol, 1e-6)`` or
+    relative duality gap is at most ``max(_ipm.REL_TOL, 1e-6)`` or
     :class:`PefOptimizationError` is raised.
 
     Cells with zero honest probability do not enter the objective; they are
     raised afterwards to the largest common value that keeps every vertex
     constraint satisfied, which keeps the output deterministic.
     """
-    if vertices is None:
-        vertices = enumerate_extreme_points()
     qv = q.q if isinstance(q, InputDistribution) else float(q)
-    problem = _pef_problem(nu_h, qv, beta, vertices)
-    sol: PefSolution = solve_trial_pef(*problem, rel_tol=rel_tol, strict=strict)
+    problem = _pef_problem(nu_h, qv, beta)
+    sol: PefSolution = solve_trial_pef(*problem, strict=strict)
     return _lift_zero_cells(problem, sol, qv), sol.gain_bits
 
 
-def _pef_problem(nu_h, qv: float, beta: float, vertices) -> tuple:
+def _pef_problem(nu_h, qv: float, beta: float) -> tuple:
     """Objective weights and constraints ``(w, A, rho, beta)`` at one position."""
     w = _cell_input_weights(qv) * nu_h.table.ravel()
-    A, rho = pef_constraints(qv, beta, vertices)
+    A, rho = pef_constraints(qv, beta)
     return w, A, rho, beta
 
 
@@ -241,9 +218,9 @@ def _lift_zero_cells(problem, sol: PefSolution, qv: float) -> TrialPef:
 class PefTable:
     """Per-position PEF family for blocks of up to ``2^k`` trials.
 
-    Holds the three optimised anchors (with deviations) at positions 1,
-    ``j_mid`` and ``2^k``; :meth:`excess_at` and :meth:`log2_f` give the
-    interpolated PEF at any positions.
+    Holds the three optimised anchors at positions 1, ``j_mid`` and ``2^k``,
+    each at its position's ``q``; :meth:`excess_at` and :meth:`log2_f` give
+    the interpolated PEF at any positions.
     """
 
     k: int
@@ -252,10 +229,9 @@ class PefTable:
     anchors: tuple[TrialPef, TrialPef, TrialPef]
 
     def __post_init__(self):
-        if not 1 < self.j_mid < 2**self.k:
-            raise ValueError(f"j_mid={self.j_mid} outside 2..2^{self.k}-1")
-        if any(a.excess is None for a in self.anchors):
-            raise ValueError("anchors must be PEFs with deviation tables")
+        qs = _anchor_qs(self.k, self.j_mid)
+        if [a.position_q for a in self.anchors] != qs:
+            raise ValueError(f"anchors must be PEFs for positions (1, {self.j_mid}, 2^{self.k})")
 
     @property
     def n_positions(self) -> int:
@@ -279,22 +255,19 @@ class PefTable:
             raise ValueError("positions outside 1..2^k")
         return j
 
-    def _excess(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    def _excess(self, q: np.ndarray, cells: np.ndarray = _ALL_CELLS) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
 
-        ``cells`` keeps only some flat cells: a ``(1, c)`` index array the
-        same ``c`` cells of every row, an ``(n, 1)`` array one cell per row;
-        without it all 16 are kept.  The result is stored cell-major, so that
-        every operation runs along the positions, and each entry takes the
-        same arithmetic whichever cells are kept.
+        ``cells``, a ``(1, c)`` index array, keeps the same ``c`` flat cells
+        of every row.  The result is stored cell-major, so that every
+        operation runs along the positions, and each entry takes the same
+        arithmetic whichever cells are kept.
         """
-        if cells is None:
-            cells = _ALL_CELLS
         q = q.ravel()
         if q.size > 1 and (q[1:] < q[:-1]).any():
             order = np.argsort(q, kind="stable")
             out = np.empty((q.size, cells.shape[1]))
-            out[order] = self._excess(q[order], cells if cells.shape[0] == 1 else cells[order])
+            out[order] = self._excess(q[order], cells)
             return out
         qa = np.array([a.position_q for a in self.anchors])
         ya = np.array([a.excess.ravel() for a in self.anchors])
@@ -304,26 +277,22 @@ class PefTable:
         # are filled in place, a bounded run of rows at a time
         split = int(np.searchsorted(q, qa[1], side="right"))
         bounds = sorted({0, split, q.size} | set(range(0, q.size, _ROWS)))
-        # with the same cells in every row, each cell's lift is one of two
-        # per row: 4 (1 - 0.75 q) for settings 00, and (q / 4) * 4 = q
-        shared = cells[0] < 4 if cells.shape[0] == 1 else None
+        # each cell's lift is one of two per row: 4 (1 - 0.75 q) for
+        # settings 00, and (q / 4) * 4 = q for the others
+        is00 = (cells[0] < 4).tolist()
         for a, b in zip(bounds[:-1], bounds[1:]):
             lo = 0 if b <= split else 1
             qs = q[a:b]
             lam = (qa[lo + 1] - qs) / (qa[lo + 1] - qa[lo])
-            sel = (cells if cells.shape[0] == 1 else cells[a:b]).T
             o = out[a:b].T
-            np.multiply(lam, sy[lo][sel], out=o)
-            o += (1 - lam) * sy[lo + 1][sel]
-            if shared is None:
-                o /= _cell_input_weights(qs, sel) * 4.0
-            else:
-                lift00 = (1.0 - 0.75 * qs) * 4.0
-                for row, is00 in zip(o, shared.tolist()):
-                    row /= lift00 if is00 else qs
+            np.multiply(lam, sy[lo][cells.T], out=o)
+            o += (1 - lam) * sy[lo + 1][cells.T]
+            lift00 = (1.0 - 0.75 * qs) * 4.0
+            for row, s00 in zip(o, is00):
+                row /= lift00 if s00 else qs
         return out
 
-    def log2_f(self, positions: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    def log2_f(self, positions: np.ndarray, cells: np.ndarray = _ALL_CELLS) -> np.ndarray:
         """``log2 F_j`` per cell for many positions, shape ``(n, 16)``.
 
         ``cells`` keeps only some cells, as in :meth:`_excess`; the shape is
@@ -332,7 +301,7 @@ class PefTable:
         j = self._checked(positions)
         return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells)
 
-    def _log2_f(self, q: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+    def _log2_f(self, q: np.ndarray, cells: np.ndarray = _ALL_CELLS) -> np.ndarray:
         out = self._excess(q, cells)
         out *= self.beta
         np.log1p(out, out=out)
@@ -347,9 +316,7 @@ class PefTable:
                 "k": self.k,
                 "beta": self.beta,
                 "j_mid": self.j_mid,
-                "anchors": [
-                    [float(v) for v in a.flat_outcome_major()] for a in self.anchors
-                ],
+                "anchors": [[float(v) for v in a.f.T.ravel()] for a in self.anchors],
                 "anchors_excess": [
                     [float(v) for v in a.excess.T.ravel()] for a in self.anchors
                 ],
@@ -359,23 +326,33 @@ class PefTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PefTable":
-        obj = json.loads(text)
-        k, beta, j_mid = int(obj["k"]), float(obj["beta"]), int(obj["j_mid"])
-        qs = obj.get("anchor_q")
-        if qs is None:
-            qs = [input_distribution(j, k).q for j in (1, j_mid, 2**k)]
-        anchors = []
-        if "anchors_excess" in obj:
-            for exc, q in zip(obj["anchors_excess"], qs):
-                y = np.array(exc, dtype=np.float64).reshape(4, 4).T
-                anchors.append(TrialPef.from_excess(y, beta, float(q)))
-        else:
-            for fvals, q in zip(obj["anchors"], qs):
-                f = np.array(fvals, dtype=np.float64).reshape(4, 4).T
-                anchors.append(
-                    TrialPef.from_excess((f - 1.0) / beta, beta, float(q))
-                )
-        return cls(k=k, beta=beta, j_mid=j_mid, anchors=tuple(anchors))
+        """The table :meth:`to_json` wrote, or one without ``anchors_excess``
+        (deviations then come from the ``F`` values) or ``anchor_q``; any
+        other shape raises ``ValueError``."""
+        try:
+            obj = json.loads(text)
+            key = "anchors_excess" if "anchors_excess" in obj else "anchors"
+            k, j_mid = operator.index(obj["k"]), operator.index(obj["j_mid"])
+            beta = float(obj["beta"])
+            y = np.array(obj[key], dtype=np.float64)
+            qs = [float(q) for q in obj["anchor_q"]] if "anchor_q" in obj else _anchor_qs(k, j_mid)
+        except (KeyError, TypeError, OverflowError, RecursionError) as e:
+            raise ValueError(f"malformed PEF table ({type(e).__name__}: {e})") from None
+        if y.shape != (3, 16) or len(qs) != 3:
+            raise ValueError(f"{key!r} must be 3 anchors of 16 numbers, 'anchor_q' 3 numbers")
+        y = y.reshape(3, 4, 4).transpose(0, 2, 1)
+        if key == "anchors":
+            with np.errstate(all="ignore"):
+                y = (y - 1.0) / beta
+        anchors = tuple(TrialPef.from_excess(ya, beta, q) for ya, q in zip(y, qs))
+        return cls(k=k, beta=beta, j_mid=j_mid, anchors=anchors)
+
+
+def _anchor_qs(k: int, j_mid: int) -> list[float]:
+    """Spot-check probabilities of the anchor positions 1, ``j_mid`` and ``2^k``."""
+    if not (2 <= k <= 62 and 1 < j_mid < 2**k):  # positions are int64
+        raise ValueError(f"need 2 <= k <= 62 and 1 < j_mid < 2^k, got k={k}, j_mid={j_mid}")
+    return [input_distribution(j, k).q for j in (1, j_mid, 2**k)]
 
 
 @dataclass(frozen=True)
@@ -542,8 +519,6 @@ def build_pef_table(
     k: int,
     j_mid: int | None = None,
     optimize_j_mid: bool = False,
-    vertices: PolytopeVertexSet | None = None,
-    rel_tol: float = 1e-7,
     strict: bool = True,
 ) -> PefTable:
     """Optimise anchors and assemble the per-block PEF table.
@@ -555,9 +530,7 @@ def build_pef_table(
     falls back to the production value 53478, other ``k`` run the search.
     This is :func:`build_pef_tables` for one power.
     """
-    return build_pef_tables(
-        nu_h, [beta], k, j_mid, optimize_j_mid, vertices, rel_tol, strict
-    )[0]
+    return build_pef_tables(nu_h, [beta], k, j_mid, optimize_j_mid, strict)[0]
 
 
 def build_pef_tables(
@@ -566,8 +539,6 @@ def build_pef_tables(
     k: int,
     j_mid: int | None = None,
     optimize_j_mid: bool = False,
-    vertices: PolytopeVertexSet | None = None,
-    rel_tol: float = 1e-7,
     strict: bool = True,
 ) -> list[PefTable]:
     """:func:`build_pef_table` for many powers, one table per power.
@@ -578,8 +549,6 @@ def build_pef_tables(
     """
     if k < 2:
         raise ValueError("table construction needs k >= 2 (a middle anchor must exist)")
-    if vertices is None:
-        vertices = enumerate_extreme_points()
     n = 2**k
     betas = [float(b) for b in betas]
     anchors: list[dict[int, TrialPef]] = [{} for _ in betas]
@@ -592,10 +561,8 @@ def build_pef_tables(
         for at in range(0, len(jobs), ANCHOR_BATCH):
             batch = jobs[at : at + ANCHOR_BATCH]
             qs = [input_distribution(j, k).q for _, j in batch]
-            problems = [
-                _pef_problem(nu_h, q, betas[i], vertices) for (i, _), q in zip(batch, qs)
-            ]
-            sols = solve_trial_pefs(problems, rel_tol=rel_tol, strict=strict)
+            problems = [_pef_problem(nu_h, q, betas[i]) for (i, _), q in zip(batch, qs)]
+            sols = solve_trial_pefs(problems, strict=strict)
             for (i, j), problem, sol, q in zip(batch, problems, sols, qs):
                 anchors[i][j] = _lift_zero_cells(problem, sol, q)
 

@@ -269,11 +269,6 @@ class RunConfig:
         if self.check_granularity not in ("block", "file"):
             raise ValueError("check_granularity must be 'block' or 'file'")
 
-    @property
-    def t_min_log2(self) -> float:
-        """log2 of the PEF-product success threshold, beta * G_min."""
-        return self.beta * self.G_min
-
 
 @dataclass(frozen=True)
 class ExpansionFile:
@@ -457,12 +452,12 @@ def _log2_pef_sums(table: PefTable, tables, L, boe, pos, out, spot) -> np.ndarra
     ``tables`` are :func:`_witness_tables` of ``table``.  ``np.add.at``
     adds each block's events in order, so every sum equals the one formed
     trial by trial for that block alone; the spot term ``log2 F_L(spot)``
-    is interpolated for each block's cell only.
+    is read from each block's row of 16 cells.
     """
     prefix00, delta = tables
     totals = prefix00[L - 1]
     np.add.at(totals, boe, delta[pos - 1, out])
-    totals += table.log2_f(L, cells=spot[:, None])[:, 0]
+    totals += np.take_along_axis(table.log2_f(L), spot[:, None], axis=1)[:, 0]
     return totals
 
 

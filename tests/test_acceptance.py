@@ -97,7 +97,7 @@ def test_criterion_3_block_rate_and_variance(commissioning, production_gain):
     assert dt < 120.0
 
 
-def test_criterion_4_interpolation_quality(commissioning, production_table, vertices):
+def test_criterion_4_interpolation_quality(commissioning, production_table):
     t0 = time.perf_counter()
     nu_h = commissioning["distribution"]
     rng = np.random.default_rng(20260810)
@@ -111,7 +111,7 @@ def test_criterion_4_interpolation_quality(commissioning, production_table, vert
         q = model.input_distribution(int(j), PAPER_K)
         w = pef._cell_input_weights(q.q) * nu_h.table.ravel()
         g_interp = float(w @ row) / PAPER_BETA
-        _, g_opt = pef.optimize_trial_pef(nu_h, q, PAPER_BETA, vertices)
+        _, g_opt = pef.optimize_trial_pef(nu_h, q, PAPER_BETA)
         interp_total += om * g_interp
         opt_total += om * g_opt
     ratio = interp_total / opt_total
@@ -290,8 +290,8 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
             d = nu_h
         beta = 10.0 ** rng.uniform(-8, -0.5)
         q = 10.0 ** rng.uniform(-5.5, 0.0)
-        tp, g = pef.optimize_trial_pef(d, InputDistribution(q), beta, vertices)
-        assert pef.is_valid_pef(tp, q, vertices), (i, beta, q)
+        tp, g = pef.optimize_trial_pef(d, InputDistribution(q), beta)
+        assert pef.is_valid_pef(tp, q), (i, beta, q)
         assert g >= -1e-9
     tables = [
         small_table,
@@ -302,12 +302,12 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
         j = int(rng.integers(1, t.n_positions + 1))
         y = t.excess_at(np.array([j]))[0].reshape(4, 4)
         tp = pef.TrialPef.from_excess(y, t.beta, model.input_distribution(j, t.k).q)
-        assert pef.is_valid_pef(tp, tp.position_q, vertices), (t.k, j)
+        assert pef.is_valid_pef(tp, tp.position_q), (t.k, j)
 
     # (b) the constant table is a PEF for every model and power
     for beta in (1e-8, 1e-5, 1e-2, 0.3):
         for q in (1e-5, 1e-2, 0.5, 1.0):
-            assert pef.is_valid_pef(pef.TrialPef.constant_one(beta, q), q, vertices)
+            assert pef.is_valid_pef(pef.TrialPef.constant_one(beta, q), q)
 
     # (c) sparse and dense accumulation agree exactly
     rng2 = protocol.stream_rng(5150)

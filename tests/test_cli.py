@@ -22,6 +22,7 @@ import pytest
 import direx
 from direx import cli, pef, planner, protocol
 from direx.data import commissioning_counts, commissioning_distribution
+from direx.extractor import ExtractorParams
 from direx.model import ConditionalDistribution
 
 
@@ -137,6 +138,37 @@ class TestPefRoundTrip:
         )
         rep = pef.block_gain(table, commissioning_distribution())
         assert obj["g_block_bits"] == pytest.approx(rep.g_block, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "name,change",
+        [
+            ("anchors-not-a-list", {"anchors_excess": 3}),
+            ("one-anchor", {"anchors_excess": [[0.0] * 16]}),
+            ("array", None),
+            ("anchor-q-moved", {"anchor_q": [1, 0.5, 0.2]}),
+            ("not-a-pef", {"anchors_excess": [[1e9] + [0.0] * 15, [0.0] * 16, [0.0] * 16]}),
+            ("last-anchor-raised", "raise"),
+        ],
+    )
+    def test_malformed_or_invalid_table_exit_2_with_one_line(self, workdir, capsys, name, change):
+        table = pef.build_pef_table(commissioning_distribution(), 1e-6, 4, j_mid=5)
+        if change == "raise":
+            a = table.anchors[2]
+            raised = pef.TrialPef.from_excess(a.excess + 1.0, a.beta, a.position_q)
+            text = pef.PefTable(table.k, table.beta, table.j_mid, (*table.anchors[:2], raised)).to_json()
+        elif change is None:
+            text = json.dumps([json.loads(table.to_json())])
+        else:
+            text = json.dumps({**json.loads(table.to_json()), **change})
+        path = workdir / f"{name}.json"
+        path.write_text(text)
+        code = cli.main(["rate", str(path), str(workdir / "dist.json")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if change == "raise":
+            assert "anchor 2 fails the PEF inequality" in captured.err
 
 
 class TestExtractParams:
@@ -428,6 +460,33 @@ class TestReport:
             capsys, "report", workdir / "failed.json", workdir / "ext.json", "--k", "17"
         )
         assert code == cli.EXIT_PROTOCOL_FAILURE
+
+    @pytest.mark.parametrize(
+        "which,text",
+        [
+            ("state", "[1]"),
+            ("state", '{"G_run": "a", "N_run": 10, "bits_consumed": 190, "succeeded": true}'),
+            ("state", '{"G_run": 1.0, "N_run": 10, "bits_consumed": 190}'),
+            ("extractor", "[]"),
+            ("extractor", '{"m_in": 1, "sigma_in": 1, "eps_ext": 0.1, "eps": 1, "k_out": "1", "d_s": 1, "w": 1}'),
+        ],
+    )
+    def test_malformed_input_exit_2_with_one_line(self, workdir, capsys, which, text):
+        state = protocol.AccumulatorState(
+            G_run=1.0, N_run=10, bits_consumed=190, succeeded=True, stop_block=10
+        )
+        files = {"state": workdir / "ok-state.json", "extractor": workdir / "ok-ext.json"}
+        files["state"].write_text(json.dumps(state.to_dict()))
+        files["extractor"].write_text(
+            ExtractorParams(m_in=10**6, sigma_in=46.0, eps_ext=0.5, eps=1.0, k_out=46, d_s=8, w=5).to_json()
+        )
+        files[which] = workdir / f"bad-{which}.json"
+        files[which].write_text(text)
+        code = cli.main(["report", str(files["state"]), str(files["extractor"]), "--k", "17"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestPlan:

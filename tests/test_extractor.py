@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from direx.extractor import (
     ExtractorParams,
@@ -19,12 +20,22 @@ from direx.extractor import (
     seed_length,
     smallest_prime_above,
 )
+from tests.test_model import json_near
 
 GOLD_M_IN = 14_698_652_631_040
 GOLD_SIGMA_IN = 1_181_264_480
 GOLD_EPS_EXT = 1.78e-9
 GOLD_K_OUT = 1_181_264_237
 GOLD_D_S = 3_725_074
+GOLD_PARAMS = ExtractorParams(
+    m_in=GOLD_M_IN,
+    sigma_in=GOLD_SIGMA_IN,
+    eps_ext=GOLD_EPS_EXT,
+    eps=5.7e-7,
+    k_out=GOLD_K_OUT,
+    d_s=GOLD_D_S,
+    w=331,
+)
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -201,6 +212,16 @@ class TestSetX:
     def test_json_roundtrip(self):
         p = self._gold()
         assert ExtractorParams.from_json(p.to_json()) == p
+
+    @given(text=json_near(json.loads(GOLD_PARAMS.to_json())))
+    @settings(max_examples=300, deadline=None)
+    def test_json_fuzz(self, text):
+        """Every input decodes to parameters that round-trip, or raises ValueError."""
+        try:
+            p = ExtractorParams.from_json(text)
+        except ValueError:
+            return
+        assert ExtractorParams.from_json(p.to_json()).to_json() == p.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,38 @@ def _json_texts(draw):
         rows = rows[: draw(st.integers(0, 3))]
     return json.dumps({draw(st.sampled_from(["p", "counts", "q"])): rows})
 
+_JSON_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 0.5, 1e308, True, False, "1", None]),
+    st.integers(-3, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _JSON,
+)
+
+
+@st.composite
+def json_near(draw, base: dict) -> str:
+    """Arbitrary JSON, or ``base`` with keys dropped or values, items or entries changed."""
+    if draw(st.booleans()):
+        return json.dumps(draw(_JSON))
+    obj = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(base)))
+        op = draw(st.sampled_from(["drop", "value", "item"]))
+        if op == "drop":
+            obj.pop(key, None)
+        elif op == "value" or not isinstance(obj.get(key), list):
+            obj[key] = draw(_JSON_VALUES)
+        else:
+            seq = obj[key]
+            i = draw(st.integers(0, len(seq)))
+            if i == len(seq) or draw(st.booleans()):
+                seq[i : i + 1] = draw(st.lists(_JSON_VALUES, max_size=2))
+            elif isinstance(seq[i], list) and seq[i]:
+                seq[i][draw(st.integers(0, len(seq[i]) - 1))] = draw(_JSON_VALUES)
+            else:
+                seq[i] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
 
 def _decodes_or_rejects(cls, decode, text: str) -> None:
     """Decode to a table that round-trips through both forms, or raise ValueError."""

@@ -15,55 +15,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from direx import _ipm, model, pef, protocol
+from direx import _ipm, pef, protocol
 from direx.model import ConditionalDistribution, InputDistribution, input_distribution
 from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
+from tests.test_model import json_near
 
 LN2 = math.log(2.0)
-
-
-class TestConstraints:
-    def test_vertex_order_follows_the_vertex_set(self, vertices):
-        q, beta = 0.013, 4.7e-8
-        A, rho = pef.pef_constraints(q, beta, vertices)
-        perm = np.random.default_rng(3).permutation(len(vertices))
-        shuffled = model.PolytopeVertexSet(
-            vertices=vertices.vertices[perm],
-            deterministic_mask=vertices.deterministic_mask[perm],
-        )
-        A_p, rho_p = pef.pef_constraints(q, beta, shuffled)
-        np.testing.assert_array_equal(A_p, A[perm])
-        np.testing.assert_allclose(rho_p, rho[perm], rtol=1e-15, atol=0)
 
 
 class TestValidity:
     @pytest.mark.parametrize("q", [1e-5, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("beta", [1e-8, 1e-3, 0.2])
-    def test_constant_one_is_always_valid(self, vertices, q, beta):
+    def test_constant_one_is_always_valid(self, q, beta):
         f = pef.TrialPef.constant_one(beta, q)
-        assert pef.is_valid_pef(f, q, vertices)
+        assert pef.is_valid_pef(f, q)
 
-    def test_scaled_violation_detected(self, vertices, commissioning):
+    def test_scaled_violation_detected(self, commissioning):
         tp, _ = pef.optimize_trial_pef(
-            commissioning["distribution"], InputDistribution(0.3), 0.05, vertices
+            commissioning["distribution"], InputDistribution(0.3), 0.05
         )
         bad = tp.f.copy()
         bad[0, 0] *= 1.001  # push past a tight vertex constraint
-        broken = pef.TrialPef(f=bad, beta=tp.beta, position_q=tp.position_q)
-        assert not pef.is_valid_pef(broken, 0.3, vertices)
+        broken = pef.TrialPef.from_excess((bad - 1.0) / tp.beta, tp.beta, tp.position_q)
+        assert not pef.is_valid_pef(broken, 0.3)
 
-    def test_production_anchor_valid(self, vertices, production_table):
+    def test_production_anchor_valid(self, production_table):
         for a in production_table.anchors:
-            assert pef.is_valid_pef(a, a.position_q, vertices)
+            assert pef.is_valid_pef(a, a.position_q)
 
 
 class TestOptimizer:
     def test_local_deterministic_gain_zero(self, vertices):
         d = ConditionalDistribution(vertices.lr_vertices[7].reshape(4, 4))
-        tp, g = pef.optimize_trial_pef(d, InputDistribution(1.0), 0.01, vertices)
+        tp, g = pef.optimize_trial_pef(d, InputDistribution(1.0), 0.01)
         assert abs(g) < 1e-10
-        assert pef.is_valid_pef(tp, 1.0, vertices)
+        assert pef.is_valid_pef(tp, 1.0)
         np.testing.assert_allclose(tp.f, 1.0, atol=1e-9)
 
     def test_two_vertex_toy_matches_dual_grid(self, vertices):
@@ -76,7 +65,7 @@ class TestOptimizer:
             for i, j in itertools.combinations(range(80), 2)
             if ((V[i] + V[j]) > 0).all()
         )
-        A_full, rho_full = pef.pef_constraints(q, beta, vertices)
+        A_full, rho_full = pef.pef_constraints(q, beta)
         A = A_full[list(pair)]
         rho = rho_full[list(pair)]
         nu_h = ConditionalDistribution(
@@ -105,23 +94,20 @@ class TestOptimizer:
         assert gain_nats <= upper + 1e-9
         assert upper - gain_nats <= 2e-3 * abs(gain_nats)
 
-    def test_certified_gap_is_tight(self, vertices, commissioning):
+    def test_certified_gap_is_tight(self, commissioning):
         tp, g = pef.optimize_trial_pef(
             commissioning["distribution"],
             input_distribution(PAPER_J_MID, PAPER_K),
             PAPER_BETA,
-            vertices,
         )
-        assert pef.is_valid_pef(tp, tp.position_q, vertices)
+        assert pef.is_valid_pef(tp, tp.position_q)
         assert g > 0
 
-    def test_gain_continuous_in_beta(self, vertices, commissioning):
+    def test_gain_continuous_in_beta(self, commissioning):
         d = commissioning["distribution"]
         for beta in (1e-7, 1e-4, 0.02):
-            _, g0 = pef.optimize_trial_pef(d, InputDistribution(0.2), beta, vertices)
-            _, g1 = pef.optimize_trial_pef(
-                d, InputDistribution(0.2), beta * (1 + 1e-3), vertices
-            )
+            _, g0 = pef.optimize_trial_pef(d, InputDistribution(0.2), beta)
+            _, g1 = pef.optimize_trial_pef(d, InputDistribution(0.2), beta * (1 + 1e-3))
             assert g1 == pytest.approx(g0, rel=5e-3)
 
 
@@ -137,20 +123,18 @@ def _lifted(tp: pef.TrialPef) -> np.ndarray:
 
 
 class TestLift:
-    def test_uniform_q_is_identity(self, vertices, commissioning):
+    def test_uniform_q_is_identity(self, commissioning):
         tp, _ = pef.optimize_trial_pef(
-            commissioning["distribution"], InputDistribution(1.0), 0.01, vertices
+            commissioning["distribution"], InputDistribution(1.0), 0.01
         )
         np.testing.assert_array_equal(_lifted(tp), tp.f)
 
-    def test_constant_lift_valid_for_uniform(self, vertices):
+    def test_constant_lift_valid_for_uniform(self):
         q = 0.37
         lifted = _lifted(pef.TrialPef.constant_one(0.01, q))
         expected = 4.0 * pef._cell_input_weights(q).reshape(4, 4)
         np.testing.assert_allclose(lifted, expected, rtol=1e-15)
-        assert pef.is_valid_pef(
-            pef.TrialPef(f=lifted, beta=0.01, position_q=1.0), 1.0, vertices
-        )
+        assert pef.is_valid_pef(pef.TrialPef.from_excess((lifted - 1.0) / 0.01, 0.01, 1.0), 1.0)
 
 
 class TestInterpolation:
@@ -160,11 +144,11 @@ class TestInterpolation:
         for row, anchor in zip(got, t.anchors):
             np.testing.assert_allclose(row.reshape(4, 4), anchor.excess, rtol=1e-15)
 
-    def test_interpolated_positions_are_valid(self, vertices, production_table):
+    def test_interpolated_positions_are_valid(self, production_table):
         rng = np.random.default_rng(5)
         for j in rng.integers(2, 2**PAPER_K, size=12):
             tp = _pef_at(production_table, int(j))
-            assert pef.is_valid_pef(tp, tp.position_q, vertices)
+            assert pef.is_valid_pef(tp, tp.position_q)
 
     def test_lifted_entries_between_anchor_entries(self, production_table):
         t = production_table
@@ -380,6 +364,54 @@ class TestSerialization:
         obj = json.loads(rep.to_json())
         assert obj["g_block_bits"] == rep.g_block
         assert obj["k"] == small_table.k
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"anchors_excess": 3},
+            {"anchors_excess": [[0.0] * 16]},
+            {"anchors_excess": [[0.0] * 16] * 3 + [[0.0] * 16]},
+            {"anchors_excess": [[0.0] * 15] * 3},
+            {"anchor_q": [1, 0.5, 0.2]},
+            {"anchor_q": [0.125, 0.2, "1"]},
+            {"k": 6.0},
+            {"k": 63},
+            {"j_mid": 8},
+            {"beta": 0},
+            {"beta": True},
+        ],
+    )
+    def test_malformed_json_rejected(self, small_table, change):
+        obj = {**json.loads(small_table.to_json()), **change}
+        with pytest.raises(ValueError):
+            pef.PefTable.from_json(json.dumps(obj))
+
+    def test_anchors_must_sit_at_their_positions(self, small_table):
+        first, mid, last = small_table.anchors
+        with pytest.raises(ValueError, match="anchors must be PEFs"):
+            pef.PefTable(small_table.k, small_table.beta, small_table.j_mid, (first, last, mid))
+        with pytest.raises(ValueError, match="anchors must be PEFs"):
+            pef.PefTable(small_table.k, small_table.beta, small_table.j_mid, (first, mid))
+
+
+#: a valid k=3 table as ``to_json`` writes it
+_TABLE = json.loads(
+    pef.PefTable(
+        3, 0.01, 4, tuple(pef.TrialPef.constant_one(0.01, input_distribution(j, 3).q) for j in (1, 4, 8))
+    ).to_json()
+)
+
+
+class TestLoaderFuzz:
+    @given(text=json_near(_TABLE))
+    @settings(max_examples=300, deadline=None)
+    def test_pef_table_json(self, text):
+        """Every input decodes to a table that round-trips, or raises ValueError."""
+        try:
+            table = pef.PefTable.from_json(text)
+        except ValueError:
+            return
+        assert pef.PefTable.from_json(table.to_json()).to_json() == table.to_json()
 
 
 # ---------------------------------------------------------------------------

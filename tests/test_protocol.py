@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 import math
 
 import mpmath
@@ -34,6 +35,7 @@ from direx.protocol import (
     simulate_run_witness,
     stream_rng,
 )
+from tests.test_model import json_near
 
 GOLD_EXTRACTOR = ExtractorParams(
     m_in=14_698_652_631_040,
@@ -144,6 +146,27 @@ class TestDeterminism:
         assert not (w1 == w3).all()
 
 
+class TestDeadTime:
+    def test_dead_time_counted_but_never_recorded(self, commissioning, tmp_path):
+        nu = commissioning["distribution"]
+        summaries = {}
+        for dead in (0, 5):
+            cfg = RunConfig(
+                k=5, beta=1e-6, G_min=1.0, N_b=300, n_calib_min=1, seed=21, deadtime_trials=dead
+            )
+            cycles, summaries[dead] = simulate_dataset(nu, cfg, 100, 2, 3000, 300)
+            protocol.write_dataset(cycles, tmp_path / str(dead), {"k": 5})
+        s0, s5 = summaries[0], summaries[5]
+        assert s0["deadtime_trials"] == 0
+        assert s5["deadtime_trials"] == 5 * s5["n_blocks"] == 1500
+        assert s5["trials_recorded"] == s0["trials_recorded"]
+        assert s5["trials_wall_clock"] == s5["trials_recorded"] + 1500
+        files = sorted(p.relative_to(tmp_path / "0") for p in (tmp_path / "0").rglob("*") if p.is_file())
+        assert len(files) == 1 + 2 + 3 * 2  # manifest, 2 cycle calibrations, 3 files of 2 parts
+        for f in files:
+            assert (tmp_path / "5" / f).read_bytes() == (tmp_path / "0" / f).read_bytes()
+
+
 class TestStreams:
     def test_no_two_uses_share_a_key(self, commissioning, small_table, monkeypatch):
         nu = commissioning["distribution"]
@@ -210,6 +233,16 @@ class TestAccounting:
         )
         rep = expansion_summary(full, GOLD_EXTRACTOR, 17)
         assert rep.ratio == pytest.approx(1.105, abs=5e-4)
+
+    @given(text=json_near(AccumulatorState(1.5, 7, 133, True, 7).to_dict()))
+    @settings(max_examples=300, deadline=None)
+    def test_state_from_dict_fuzz(self, text):
+        """Every object decodes to a state that round-trips, or raises ValueError."""
+        try:
+            state = AccumulatorState.from_dict(json.loads(text))
+        except ValueError:
+            return
+        assert AccumulatorState.from_dict(state.to_dict()) == state
 
     def test_summary_requires_success(self):
         state = AccumulatorState(G_run=0.0, N_run=5, bits_consumed=5 * 19)
@@ -284,9 +317,9 @@ class TestAccumulate:
     def test_invalid_pef_table_rejected(self, sim, small_table):
         nu, records = sim
         cycles = _cycles_from_records(nu, records)
-        a = small_table.anchors[1]
+        first, a, last = small_table.anchors
         raised = pef.TrialPef.from_excess(a.excess + 1.0, a.beta, a.position_q)
-        bad = dataclasses.replace(small_table, anchors=(small_table.anchors[0], raised, a))
+        bad = dataclasses.replace(small_table, anchors=(first, raised, last))
         cfg = RunConfig(k=6, beta=small_table.beta, G_min=1e18, N_b=400, n_calib_min=1, seed=0)
         accumulate(cycles, cfg, lambda nu_h: small_table)
         with pytest.raises(ValueError, match="^cycle 0: PEF table anchor fails the PEF inequality$"):
