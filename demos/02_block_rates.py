@@ -28,8 +28,8 @@ rng = np.random.default_rng(1)
 positions = np.sort(rng.integers(2, 2**K, size=8))
 print("\ninterpolated vs individually optimised gain (bits, sampled positions):")
 for j in positions:
-    q = input_distribution(int(j), K)
-    w = _cell_input_weights(q.q) * nu.table.ravel()
+    q = input_distribution(int(j), K).q
+    w = _cell_input_weights(q) * nu.table.ravel()
     g_interp = float(w @ table.log2_f(np.array([int(j)]))[0]) / BETA
     _, g_opt = optimize_trial_pef(nu, q, BETA)
     print(f"  j={int(j):>6d}: interpolated {g_interp:.6e}  optimal {g_opt:.6e}"

@@ -2,9 +2,10 @@
 
 Subcommands mirror the library: ``fit``, ``strength``, ``pef-opt``,
 ``rate``, ``plan``, ``simulate``, ``accumulate``, ``extract-params`` and
-``report``.  All numeric output is deterministic given the seed; every JSON
-result carries a hash of the fully resolved inputs so reruns can be checked
-for identity.
+``report``.  Every command prints one JSON object, to stdout or to the file
+``--output`` names; ``fit``'s object is itself a valid distribution input.
+All numeric output is deterministic given the seed; every result carries a
+hash of the fully resolved inputs so reruns can be checked for identity.
 
 Each command imports the layers it runs when it runs, so a process loads
 only those: ``extract-params`` and ``report`` need neither numpy nor
@@ -23,10 +24,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from direx import model
 
 EXIT_OK = 0
 EXIT_PROTOCOL_FAILURE = 1
@@ -94,46 +91,22 @@ class RunManifest:
 
 
 def _emit(obj: dict, args) -> None:
-    out = json.dumps(obj, indent=1) if args.format == "json" else _as_csv(obj)
+    out = json.dumps(obj, indent=1)
     if getattr(args, "output", None):
         Path(args.output).write_text(out + "\n")
     else:
         print(out)
 
 
-def _as_csv(obj: dict) -> str:
-    flat = {k: v for k, v in obj.items() if not isinstance(v, (dict, list))}
-    head = ",".join(flat)
-    vals = ",".join(str(v) for v in flat.values())
-    return head + "\n" + vals
-
-
-def _load_counts(path: str) -> model.CountsTable:
-    from direx import model
-
+def _load(cls, path: str):
+    """``cls.from_csv`` or ``cls.from_json`` of the file at ``path``, by its
+    suffix: a counts table or a distribution."""
     p = Path(path)
     if not p.exists():
-        raise InputError(f"counts file not found: {path}")
+        raise InputError(f"input file not found: {path}")
     text = p.read_text()
     try:
-        if p.suffix.lower() == ".csv":
-            return model.CountsTable.from_csv(text)
-        return model.CountsTable.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise InputError(f"{path}: {e}") from e
-
-
-def _load_distribution(path: str) -> model.ConditionalDistribution:
-    from direx import model
-
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"distribution file not found: {path}")
-    text = p.read_text()
-    try:
-        if p.suffix.lower() == ".csv":
-            return model.ConditionalDistribution.from_csv(text)
-        return model.ConditionalDistribution.from_json(text)
+        return cls.from_csv(text) if p.suffix.lower() == ".csv" else cls.from_json(text)
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -144,15 +117,8 @@ def _load_distribution(path: str) -> model.ConditionalDistribution:
 def cmd_fit(args) -> int:
     from direx import model
 
-    counts = _load_counts(args.counts)
+    counts = _load(model.CountsTable, args.counts)
     dist, rel_gap = model._fit_mle(counts)
-    if args.format == "csv":
-        out = dist.to_csv()
-        if args.output:
-            Path(args.output).write_text(out)
-        else:
-            print(out, end="")
-        return EXIT_OK
     obj = json.loads(dist.to_json())
     obj["log_likelihood"] = model.log_likelihood(counts, dist)
     obj["mle_rel_gap"] = rel_gap
@@ -164,7 +130,7 @@ def cmd_fit(args) -> int:
 def cmd_strength(args) -> int:
     from direx import model
 
-    dist = _load_distribution(args.distribution)
+    dist = _load(model.ConditionalDistribution, args.distribution)
     s, rel_gap = model._statistical_strength(dist)
     manifest = RunManifest.resolve("strength", args, [Path(args.distribution)])
     _emit(manifest.stamp({"statistical_strength_bits": s, "strength_rel_gap": rel_gap}), args)
@@ -172,9 +138,9 @@ def cmd_strength(args) -> int:
 
 
 def cmd_pef_opt(args) -> int:
-    from direx import pef
+    from direx import model, pef
 
-    dist = _load_distribution(args.distribution)
+    dist = _load(model.ConditionalDistribution, args.distribution)
     table = pef.build_pef_table(
         dist,
         args.beta,
@@ -189,13 +155,13 @@ def cmd_pef_opt(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    from direx import pef
+    from direx import model, pef
 
     table = pef.PefTable.from_json(Path(args.pef).read_text())
     for i, a in enumerate(table.anchors):
         if not pef.is_valid_pef(a, a.position_q):
             raise InputError(f"{args.pef}: anchor {i} fails the PEF inequality")
-    dist = _load_distribution(args.distribution)
+    dist = _load(model.ConditionalDistribution, args.distribution)
     rep = pef.block_gain(table, dist)
     obj = json.loads(rep.to_json())
     RunManifest.resolve(
@@ -206,9 +172,9 @@ def cmd_rate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from direx import planner
+    from direx import model, planner
 
-    dist = _load_distribution(args.distribution)
+    dist = _load(model.ConditionalDistribution, args.distribution)
     files = [Path(args.distribution)]
     if args.k_range:
         lo, hi = (int(v) for v in args.k_range.split(":"))
@@ -228,9 +194,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from direx import protocol
+    from direx import model, protocol
 
-    dist = _load_distribution(args.distribution)
+    dist = _load(model.ConditionalDistribution, args.distribution)
     # simulation reads only k, N_b, the seed and the dead time: beta and G_min are unused
     cfg = protocol.RunConfig(
         k=args.k,
@@ -287,14 +253,14 @@ def cmd_accumulate(args) -> int:
         check_granularity=args.check_granularity,
     )
 
-    j_mid_holder: dict = {"j_mid": args.j_mid}
+    j_mid = args.j_mid
 
     def builder(nu_h):
-        if j_mid_holder["j_mid"] is None and k != 17:
-            table = pef.build_pef_table(nu_h, cfg.beta, k, optimize_j_mid=True)
-            j_mid_holder["j_mid"] = table.j_mid
-            return table
-        return pef.build_pef_table(nu_h, cfg.beta, k, j_mid=j_mid_holder["j_mid"])
+        # the first cycle's build settles j_mid; later cycles reuse it
+        nonlocal j_mid
+        table = pef.build_pef_table(nu_h, cfg.beta, k, j_mid=j_mid)
+        j_mid = table.j_mid
+        return table
 
     state, trace = protocol.accumulate(cycles, cfg, builder, threads=args.threads or 1)
     obj = state.to_dict()
@@ -357,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spot-checked device-independent randomness expansion toolkit",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--output", help="write the result here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -51,6 +51,15 @@ PAIR_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 NORMALIZATION_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
+#: certified relative gaps that :func:`fit_mle` and
+#: :func:`statistical_strength` must reach, and the Newton steps each may take
+FIT_REL_TOL = 1e-10
+STRENGTH_REL_TOL = 1e-3
+MAX_NEWTON_STEPS = 500
+
+#: largest block-length exponent: ``.blocks`` files store lengths as u32
+MAX_K = 31
+
 _LN2 = math.log(2.0)
 
 
@@ -435,15 +444,16 @@ def enumerate_extreme_points() -> PolytopeVertexSet:
     return _VERTICES
 
 
-def is_member_T(d: ConditionalDistribution, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether ``d`` is non-signaling and within Tsirelson's bounds."""
+def is_member_T(d: ConditionalDistribution) -> bool:
+    """Whether ``d`` is non-signaling and within Tsirelson's bounds, to
+    ``MEMBERSHIP_TOL``."""
     t = d.table
-    if (t < -tol).any():
+    if (t < -MEMBERSHIP_TOL).any():
         return False
     E, f = _equality_system()
-    if (np.abs(E @ t.ravel() - f) > tol).any():
+    if (np.abs(E @ t.ravel() - f) > MEMBERSHIP_TOL).any():
         return False
-    return bool(d.chsh_values().max() <= TSIRELSON_BOUND + tol)
+    return bool(d.chsh_values().max() <= TSIRELSON_BOUND + MEMBERSHIP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +482,6 @@ def _maximize_loglik(
     vertices: np.ndarray,
     scale,
     rel_tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, float, float]:
     """Maximise ``sum_i w_i log(mu_i)`` over the polytope with CHSH ``bound``.
 
@@ -495,8 +504,8 @@ def _maximize_loglik(
     maximum; the first iterate whose gap relative to ``max(scale(obj),
     1e-12)`` is at most ``rel_tol`` is returned as ``(mu, obj, rel_gap)``.
     Raises :class:`MleConvergenceError` with the best-certified iterate if
-    none is within ``max_iter`` Newton steps, or the Newton system breaks
-    down.
+    none is within ``MAX_NEWTON_STEPS`` Newton steps, or the Newton system
+    breaks down.
     """
     E8, C = _barrier_system()
     E, f = _equality_system()
@@ -510,7 +519,7 @@ def _maximize_loglik(
     t = 1.0
     s = bound - C @ mu
     best = (math.inf, math.inf, mu)
-    for it in range(max_iter + 1):
+    for it in range(MAX_NEWTON_STEPS + 1):
         obj = float(np.dot(w[support], np.log(mu[support])))
         g = np.divide(w, mu, out=np.zeros(16), where=support)
         # max(vertices @ g) - 1, as sum(mu * g) = sum(w) = 1, summed term
@@ -521,7 +530,7 @@ def _maximize_loglik(
             return mu, obj, rel_gap
         if rel_gap < best[0]:
             best = (rel_gap, gap, mu)
-        if it == max_iter:
+        if it == MAX_NEWTON_STEPS:
             break
         a = t * w + 1.0
         # dmu = D u with u in the null space of the scaled equalities, whose
@@ -556,34 +565,26 @@ def _maximize_loglik(
     )
 
 
-def fit_mle(
-    counts: CountsTable,
-    rel_tol: float = 1e-10,
-    max_iter: int = 500,
-) -> ConditionalDistribution:
+def fit_mle(counts: CountsTable) -> ConditionalDistribution:
     """Maximum-likelihood table in the trial polytope for observed counts.
 
     Maximises ``sum n(ab,xy) log p(ab|xy)`` over the polytope with the
     barrier solver, certified by the Frank-Wolfe gap over the 80 extreme
     points.  Raises :class:`MleConvergenceError` (with the best iterate
     attached) if the certified gap relative to the log-likelihood per trial
-    is still above ``rel_tol`` after ``max_iter`` Newton steps.
+    is still above ``FIT_REL_TOL`` after ``MAX_NEWTON_STEPS`` Newton steps.
     """
-    return _fit_mle(counts, rel_tol, max_iter)[0]
+    return _fit_mle(counts)[0]
 
 
-def _fit_mle(
-    counts: CountsTable, rel_tol: float = 1e-10, max_iter: int = 500
-) -> tuple[ConditionalDistribution, float]:
+def _fit_mle(counts: CountsTable) -> tuple[ConditionalDistribution, float]:
     """:func:`fit_mle` and the certified relative gap of its result."""
     if counts.total <= 0:
         raise ValueError("counts table is empty")
     if (counts.setting_totals() == 0).any():
         raise ValueError("every settings pair needs at least one count")
     w = counts.counts.ravel() / counts.total
-    mu, _, rel_gap = _maximize_loglik(
-        w, TSIRELSON_BOUND, _VERTICES.vertices, abs, rel_tol, max_iter
-    )
+    mu, _, rel_gap = _maximize_loglik(w, TSIRELSON_BOUND, _VERTICES.vertices, abs, FIT_REL_TOL)
     return ConditionalDistribution(mu.reshape(4, 4)), rel_gap
 
 
@@ -593,11 +594,7 @@ def log_likelihood(counts: CountsTable, d: ConditionalDistribution) -> float:
     return float(np.dot(counts.counts.ravel(), np.log(p)))
 
 
-def statistical_strength(
-    d: ConditionalDistribution,
-    rel_tol: float = 1e-3,
-    max_iter: int = 500,
-) -> float:
+def statistical_strength(d: ConditionalDistribution) -> float:
     """Statistical strength for rejecting local realism, in bits per trial.
 
     The minimum Kullback-Leibler divergence (base 2) of the joint
@@ -605,22 +602,21 @@ def statistical_strength(
     convex hull of the 16 deterministic strategies, with uniformly random
     settings.  The KL minimisation is the likelihood maximisation of
     ``p/4`` over that hull (CHSH bound 2), so it reuses the barrier solver,
-    certified over the 16 deterministic tables.  ``rel_tol`` is relative to
-    the strength itself (floored at 1e-12 nats), which is typically orders
-    of magnitude smaller than the raw log-likelihood; a gap above it after
-    ``max_iter`` Newton steps raises :class:`MleConvergenceError`.
+    certified over the 16 deterministic tables.  ``STRENGTH_REL_TOL`` is
+    relative to the strength itself (floored at 1e-12 nats), which is
+    typically orders of magnitude smaller than the raw log-likelihood; a gap
+    above it after ``MAX_NEWTON_STEPS`` Newton steps raises
+    :class:`MleConvergenceError`.
     """
-    return _statistical_strength(d, rel_tol, max_iter)[0]
+    return _statistical_strength(d)[0]
 
 
-def _statistical_strength(
-    d: ConditionalDistribution, rel_tol: float = 1e-3, max_iter: int = 500
-) -> tuple[float, float]:
+def _statistical_strength(d: ConditionalDistribution) -> tuple[float, float]:
     """:func:`statistical_strength` and the certified relative gap."""
     w = d.table.ravel() / 4.0
     mask = w > 0
     self_term = float(np.dot(w[mask], np.log(w[mask] * 4.0)))  # sum w ln p(ab|xy)
     _, obj, rel_gap = _maximize_loglik(
-        w, 2.0, _VERTICES.lr_vertices, lambda obj: self_term - obj, rel_tol, max_iter
+        w, 2.0, _VERTICES.lr_vertices, lambda obj: self_term - obj, STRENGTH_REL_TOL
     )
     return max((self_term - obj) / _LN2, 0.0), rel_gap

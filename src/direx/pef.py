@@ -48,8 +48,8 @@ from direx._ipm import (
     solve_trial_pefs,
 )
 from direx.model import (
+    MAX_K,
     ConditionalDistribution,
-    InputDistribution,
     enumerate_extreme_points,
     input_distribution,
 )
@@ -153,19 +153,17 @@ class TrialPef:
         return cls(excess=excess, beta=beta, position_q=q)
 
 
-def is_valid_pef(
-    f: TrialPef, q: InputDistribution | float, tol: float = PEF_VALIDITY_TOL
-) -> bool:
-    """Check the PEF inequality at every extreme point of the polytope."""
-    qv = q.q if isinstance(q, InputDistribution) else float(q)
-    A, rho = pef_constraints(qv, f.beta)
+def is_valid_pef(f: TrialPef, q: float) -> bool:
+    """Check the PEF inequality at every extreme point of the polytope, to
+    ``PEF_VALIDITY_TOL`` per trial."""
+    A, rho = pef_constraints(q, f.beta)
     # constraint in deviation form avoids the 1 +/- 1e-6 cancellation
-    return bool((A @ f.excess.ravel() <= rho + tol / f.beta).all())
+    return bool((A @ f.excess.ravel() <= rho + PEF_VALIDITY_TOL / f.beta).all())
 
 
 def optimize_trial_pef(
     nu_h: ConditionalDistribution,
-    q: InputDistribution | float,
+    q: float,
     beta: float,
     strict: bool = True,
 ) -> tuple[TrialPef, float]:
@@ -181,10 +179,9 @@ def optimize_trial_pef(
     raised afterwards to the largest common value that keeps every vertex
     constraint satisfied, which keeps the output deterministic.
     """
-    qv = q.q if isinstance(q, InputDistribution) else float(q)
-    problem = _pef_problem(nu_h, qv, beta)
+    problem = _pef_problem(nu_h, q, beta)
     sol: PefSolution = solve_trial_pef(*problem, strict=strict)
-    return _lift_zero_cells(problem, sol, qv), sol.gain_bits
+    return _lift_zero_cells(problem, sol, q), sol.gain_bits
 
 
 def _pef_problem(nu_h, qv: float, beta: float) -> tuple:
@@ -350,8 +347,8 @@ class PefTable:
 
 def _anchor_qs(k: int, j_mid: int) -> list[float]:
     """Spot-check probabilities of the anchor positions 1, ``j_mid`` and ``2^k``."""
-    if not (2 <= k <= 62 and 1 < j_mid < 2**k):  # positions are int64
-        raise ValueError(f"need 2 <= k <= 62 and 1 < j_mid < 2^k, got k={k}, j_mid={j_mid}")
+    if not (2 <= k <= MAX_K and 1 < j_mid < 2**k):
+        raise ValueError(f"need 2 <= k <= {MAX_K} and 1 < j_mid < 2^k, got k={k}, j_mid={j_mid}")
     return [input_distribution(j, k).q for j in (1, j_mid, 2**k)]
 
 
@@ -363,7 +360,6 @@ class GainReport:
     var_block: float
     beta: float
     k: int
-    per_position_gain: np.ndarray | None = None
 
     def to_json(self) -> str:
         obj = {
@@ -372,16 +368,10 @@ class GainReport:
             "beta": self.beta,
             "k": self.k,
         }
-        if self.per_position_gain is not None:
-            obj["per_position_gain"] = [float(v) for v in self.per_position_gain]
         return json.dumps(obj)
 
 
-def block_gain(
-    table: PefTable,
-    nu_h: ConditionalDistribution,
-    keep_per_position: bool = False,
-) -> GainReport:
+def block_gain(table: PefTable, nu_h: ConditionalDistribution) -> GainReport:
     """Expected per-block witness rate and variance at ``nu_h``.
 
     The rate is ``sum_j omega_j E_j[log2 F_j]/beta`` with
@@ -414,13 +404,11 @@ def block_gain(
     beta = table.beta
     g_block = e1 / beta
     var_block = max((e2 - e1 * e1) / beta**2, 0.0)
-    per = (m_j / beta) if keep_per_position else None
     return GainReport(
         g_block=g_block,
         var_block=var_block,
         beta=beta,
         k=table.k,
-        per_position_gain=per,
     )
 
 
@@ -455,11 +443,14 @@ DEFAULT_J_MID_K17 = 53_478
 #: speed and only hold more memory
 ANCHOR_BATCH = 128
 
+#: positions on the decimated grid of the middle-anchor search's rate estimate
+_GRID_SAMPLES = 2048
+
 
 @functools.lru_cache(maxsize=8)
-def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
+def _sample_grid(n: int) -> tuple[np.ndarray, ...]:
     """Decimated positions with their ``q``, ``nu_q`` and reach."""
-    pos = np.unique(np.round(np.linspace(1, n, n_samples)).astype(np.int64))
+    pos = np.unique(np.round(np.linspace(1, n, _GRID_SAMPLES)).astype(np.int64))
     q = 1.0 / (n - pos + 1.0)
     nu = _cell_input_weights(q)
     grid = (pos, q, nu, (n - pos + 1.0) / n)
@@ -468,12 +459,12 @@ def _sample_grid(n: int, n_samples: int) -> tuple[np.ndarray, ...]:
     return grid
 
 
-def _table_gain_estimate(table: PefTable, nu_h, n_samples: int = 2048) -> float:
+def _table_gain_estimate(table: PefTable, nu_h) -> float:
     """Trapezoid estimate of the block rate on a decimated position grid."""
     n = table.n_positions
-    if n <= n_samples:
+    if n <= _GRID_SAMPLES:
         return block_gain(table, nu_h).g_block
-    pos, q, nu, omega = _sample_grid(n, n_samples)
+    pos, q, nu, omega = _sample_grid(n)
     log2f = np.ascontiguousarray(table._log2_f(q))
     w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)

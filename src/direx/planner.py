@@ -45,7 +45,10 @@ __all__ = [
 BETA_BRACKET = (1e-10, 1e-5)
 BETA_GRID_POINTS = 40
 BETA_ZOOM_ROUNDS = 2
+#: the threshold sits this many standard deviations below the mean witness
 DEFAULT_Z = 2.5
+#: largest block budget :func:`min_blocks` tries
+BLOCK_CAP = 1 << 40
 
 
 class InfeasiblePlan(RuntimeError):
@@ -236,7 +239,6 @@ def expansion_feasible(
     k: int,
     eps: float,
     curve: GainCurve | None = None,
-    z: float = DEFAULT_Z,
 ) -> tuple[bool, PlanResult]:
     """Whether ``N_b`` blocks of up to ``2^k`` trials suffice for expansion.
 
@@ -244,7 +246,7 @@ def expansion_feasible(
     entropy/extractor error split by a nested line search, then reports the
     best net yield.  The returned plan carries the audit list of every
     ``(beta, sigma_net)`` evaluation, plus the threshold and success
-    probability at the conventional ``z``-sigma criterion.
+    probability at the conventional ``DEFAULT_Z``-sigma criterion.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
@@ -267,7 +269,7 @@ def expansion_feasible(
         plan.var_b = detail["var_b"]
         plan.j_mid = detail["j_mid"]
         plan.extractor = detail["extractor"]
-        plan.G_min = threshold_from_sigma(N_b, plan.g_b, plan.var_b, z)
+        plan.G_min = threshold_from_sigma(N_b, plan.g_b, plan.var_b, DEFAULT_Z)
         plan.p_succ = success_probability(N_b, plan.g_b, plan.var_b, plan.G_min)
     return plan.feasible, plan
 
@@ -283,7 +285,6 @@ def min_blocks(
     k: int,
     eps: float,
     curve: GainCurve | None = None,
-    cap: int = 1 << 40,
 ) -> PlanResult:
     """Least block budget with a feasible expansion plan, by bisection."""
     if curve is None:
@@ -295,8 +296,8 @@ def min_blocks(
     lo, hi = 1, None
     n = 1 << 18
     while hi is None:
-        if n > cap:
-            raise InfeasiblePlan(f"no feasible block count up to the cap {cap}")
+        if n > BLOCK_CAP:
+            raise InfeasiblePlan(f"no feasible block count up to the cap {BLOCK_CAP}")
         ok, _ = expansion_feasible(nu_h, n, k, eps, curve=curve)
         if ok:
             hi = n

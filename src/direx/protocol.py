@@ -47,7 +47,7 @@ from direx.ledger import (
     experiment_output_length,
     expansion_summary,
 )
-from direx.model import ConditionalDistribution, CountsTable, fit_mle
+from direx.model import MAX_K, ConditionalDistribution, CountsTable, fit_mle
 
 if TYPE_CHECKING:
     from direx.pef import PefTable
@@ -262,8 +262,10 @@ class RunConfig:
     check_granularity: str = "block"  # or "file"
 
     def __post_init__(self):
-        if self.k < 0 or self.beta <= 0 or self.N_b <= 0 or self.n_calib_min < 0:
-            raise ValueError("k, beta, N_b must be positive; n_calib_min nonnegative")
+        if not 0 <= self.k <= MAX_K:
+            raise ValueError(f"k must lie in 0..{MAX_K}, got {self.k}: .blocks files store lengths as u32")
+        if self.beta <= 0 or self.N_b <= 0 or self.n_calib_min < 0:
+            raise ValueError("beta, N_b must be positive; n_calib_min nonnegative")
         if self.deadtime_trials < 0:
             raise ValueError("deadtime_trials must be nonnegative")
         if self.check_granularity not in ("block", "file"):

@@ -23,7 +23,7 @@ import pytest
 
 from direx import model, pef, planner, protocol
 from direx.extractor import ExtractorParams, max_kout, seed_length
-from direx.model import ConditionalDistribution, InputDistribution
+from direx.model import ConditionalDistribution
 from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
 
 REF_G_BLOCK = 36.0558
@@ -108,8 +108,8 @@ def test_criterion_4_interpolation_quality(commissioning, production_table):
     interp_total = 0.0
     opt_total = 0.0
     for row, j, om in zip(log2f, positions, omega):
-        q = model.input_distribution(int(j), PAPER_K)
-        w = pef._cell_input_weights(q.q) * nu_h.table.ravel()
+        q = model.input_distribution(int(j), PAPER_K).q
+        w = pef._cell_input_weights(q) * nu_h.table.ravel()
         g_interp = float(w @ row) / PAPER_BETA
         _, g_opt = pef.optimize_trial_pef(nu_h, q, PAPER_BETA)
         interp_total += om * g_interp
@@ -290,7 +290,7 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
             d = nu_h
         beta = 10.0 ** rng.uniform(-8, -0.5)
         q = 10.0 ** rng.uniform(-5.5, 0.0)
-        tp, g = pef.optimize_trial_pef(d, InputDistribution(q), beta)
+        tp, g = pef.optimize_trial_pef(d, q, beta)
         assert pef.is_valid_pef(tp, q), (i, beta, q)
         assert g >= -1e-9
     tables = [

@@ -65,6 +65,13 @@ class TestFit:
         code, out = run(capsys, "fit", workdir / "counts.csv")
         assert code == 0
 
+    def test_fit_output_is_a_distribution_input(self, workdir, capsys):
+        code, _ = run(capsys, "fit", workdir / "counts.json", "--output", workdir / "fitted.json")
+        assert code == 0
+        code, out = run(capsys, "strength", workdir / "fitted.json")
+        assert code == 0
+        assert strict_json(out)["statistical_strength_bits"] == pytest.approx(3.0329e-6, rel=5e-3)
+
     def test_missing_file_is_input_error(self, workdir, capsys):
         code, _ = run(capsys, "fit", workdir / "nope.json")
         assert code == cli.EXIT_INPUT_ERROR
@@ -148,6 +155,12 @@ class TestPefRoundTrip:
             ("anchor-q-moved", {"anchor_q": [1, 0.5, 0.2]}),
             ("not-a-pef", {"anchors_excess": [[1e9] + [0.0] * 15, [0.0] * 16, [0.0] * 16]}),
             ("last-anchor-raised", "raise"),
+            # valid constant-one anchors, but 2^40 positions: block_gain could not allocate them
+            ("k-above-bound", {
+                "k": 40,
+                "anchors_excess": [[0.0] * 16] * 3,
+                "anchor_q": [1.0 / (2**40 - j + 1) for j in (1, 5, 2**40)],
+            }),
         ],
     )
     def test_malformed_or_invalid_table_exit_2_with_one_line(self, workdir, capsys, name, change):
@@ -169,6 +182,13 @@ class TestPefRoundTrip:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if change == "raise":
             assert "anchor 2 fails the PEF inequality" in captured.err
+
+    def test_format_option_is_gone(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pef-opt", str(workdir / "dist.json"), "--beta", "1e-6", "--k", "4",
+                      "--format", "csv"])
+        assert exc.value.code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().out == ""
 
 
 class TestExtractParams:
@@ -285,6 +305,21 @@ class TestSimulateAccumulate:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "cycle 0, file 0: " in err
+
+    def test_simulate_k_above_bound_exit_2_with_one_line(self, workdir, capsys):
+        # no detections: two k=33 blocks cost nothing to draw, but their
+        # lengths do not fit the u32 of a .blocks header
+        dark = workdir / "dark.json"
+        dark.write_text(json.dumps({"p": [[1, 0, 0, 0]] * 4}))
+        code = cli.main(
+            ["simulate", str(dark), "--k", "33", "--blocks", "2",
+             "--out", str(workdir / "k33"), "--threads", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "0..31" in captured.err
 
     def test_simulate_empty_files_exit_2(self, workdir, capsys):
         code = cli.main(
@@ -546,6 +581,22 @@ class TestPlan:
         assert len(obj["evaluations"]) >= planner.BETA_GRID_POINTS
         assert obj["evaluations"][0] == [1e-10, None]
         assert [tuple(e) for e in obj["evaluations"][20:]] == evaluations[20:]
+
+    def test_plan_budget_matches_blocks(self, workdir, capsys, vertices):
+        idx = int(np.flatnonzero(~vertices.deterministic_mask)[0])
+        (workdir / "toy.json").write_text(
+            ConditionalDistribution(vertices.vertices[idx].reshape(4, 4)).to_json()
+        )
+        budget = 85_000_004  # 10,000,000.47 blocks of (1 + 2^4)/2 trials on average
+        plans = []
+        for extra in (["--budget", budget], ["--blocks", 10_000_000]):
+            code, out = run(capsys, "plan", workdir / "toy.json", "--eps", "1e-3", "--k", "4", *extra)
+            assert code == 0
+            obj = strict_json(out)
+            del obj["manifest_hash"]
+            plans.append(obj)
+        assert plans[0] == plans[1]
+        assert plans[0]["N_b"] == 10_000_000
 
     def test_plan_requires_budget_or_blocks(self, workdir, capsys):
         code, _ = run(capsys, "plan", workdir / "dist.json", "--eps", "1e-3")

@@ -174,7 +174,7 @@ class TestPolytope:
 
     def test_all_vertices_members(self, vertices):
         for d in vertices.distributions():
-            assert is_member_T(d, tol=1e-9)
+            assert is_member_T(d)
 
     def test_nondeterministic_vertices_saturate_tsirelson(self, vertices):
         # brute-force check of all 8 CHSH combinations per vertex
@@ -283,9 +283,11 @@ class TestMle:
         with pytest.raises(ValueError):
             fit_mle(CountsTable(c))
 
-    def test_iteration_cap_raises_with_best_iterate(self, commissioning):
+    def test_iteration_cap_raises_with_best_iterate(self, commissioning, monkeypatch):
+        monkeypatch.setattr(model, "FIT_REL_TOL", 1e-15)
+        monkeypatch.setattr(model, "MAX_NEWTON_STEPS", 5)
         with pytest.raises(MleConvergenceError) as exc:
-            fit_mle(commissioning["counts"], rel_tol=1e-15, max_iter=5)
+            fit_mle(commissioning["counts"])
         assert isinstance(exc.value.best, ConditionalDistribution)
         assert exc.value.gap > 0
 
@@ -329,9 +331,11 @@ class TestStatisticalStrength:
     def test_uniform_strength_zero(self):
         assert statistical_strength(UNIFORM) <= 1e-12
 
-    def test_iteration_cap_raises_with_best_iterate(self, commissioning):
+    def test_iteration_cap_raises_with_best_iterate(self, commissioning, monkeypatch):
+        monkeypatch.setattr(model, "STRENGTH_REL_TOL", 1e-15)
+        monkeypatch.setattr(model, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(MleConvergenceError) as exc:
-            statistical_strength(commissioning["distribution"], rel_tol=1e-15, max_iter=3)
+            statistical_strength(commissioning["distribution"])
         assert is_member_T(exc.value.best)
         assert exc.value.gap > 0
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from direx import _ipm, pef, protocol
-from direx.model import ConditionalDistribution, InputDistribution, input_distribution
+from direx.model import ConditionalDistribution, input_distribution
 from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
 from tests.test_model import json_near
 
@@ -35,7 +35,7 @@ class TestValidity:
 
     def test_scaled_violation_detected(self, commissioning):
         tp, _ = pef.optimize_trial_pef(
-            commissioning["distribution"], InputDistribution(0.3), 0.05
+            commissioning["distribution"], 0.3, 0.05
         )
         bad = tp.f.copy()
         bad[0, 0] *= 1.001  # push past a tight vertex constraint
@@ -50,7 +50,7 @@ class TestValidity:
 class TestOptimizer:
     def test_local_deterministic_gain_zero(self, vertices):
         d = ConditionalDistribution(vertices.lr_vertices[7].reshape(4, 4))
-        tp, g = pef.optimize_trial_pef(d, InputDistribution(1.0), 0.01)
+        tp, g = pef.optimize_trial_pef(d, 1.0, 0.01)
         assert abs(g) < 1e-10
         assert pef.is_valid_pef(tp, 1.0)
         np.testing.assert_allclose(tp.f, 1.0, atol=1e-9)
@@ -97,7 +97,7 @@ class TestOptimizer:
     def test_certified_gap_is_tight(self, commissioning):
         tp, g = pef.optimize_trial_pef(
             commissioning["distribution"],
-            input_distribution(PAPER_J_MID, PAPER_K),
+            input_distribution(PAPER_J_MID, PAPER_K).q,
             PAPER_BETA,
         )
         assert pef.is_valid_pef(tp, tp.position_q)
@@ -106,8 +106,8 @@ class TestOptimizer:
     def test_gain_continuous_in_beta(self, commissioning):
         d = commissioning["distribution"]
         for beta in (1e-7, 1e-4, 0.02):
-            _, g0 = pef.optimize_trial_pef(d, InputDistribution(0.2), beta)
-            _, g1 = pef.optimize_trial_pef(d, InputDistribution(0.2), beta * (1 + 1e-3))
+            _, g0 = pef.optimize_trial_pef(d, 0.2, beta)
+            _, g1 = pef.optimize_trial_pef(d, 0.2, beta * (1 + 1e-3))
             assert g1 == pytest.approx(g0, rel=5e-3)
 
 
@@ -125,7 +125,7 @@ def _lifted(tp: pef.TrialPef) -> np.ndarray:
 class TestLift:
     def test_uniform_q_is_identity(self, commissioning):
         tp, _ = pef.optimize_trial_pef(
-            commissioning["distribution"], InputDistribution(1.0), 0.01
+            commissioning["distribution"], 1.0, 0.01
         )
         np.testing.assert_array_equal(_lifted(tp), tp.f)
 
@@ -250,13 +250,6 @@ class TestBlockGain:
         se = math.sqrt(rep.var_block / n)
         assert abs(w.mean() - rep.g_block) < 4.0 * se
         assert w.var() == pytest.approx(rep.var_block, rel=0.05)
-
-    def test_per_position_gains_sum(self, commissioning, small_table):
-        nu_h = commissioning["distribution"]
-        rep = pef.block_gain(small_table, nu_h, keep_per_position=True)
-        n = small_table.n_positions
-        omega = (n - np.arange(1, n + 1) + 1.0) / n
-        assert rep.g_block == pytest.approx(float(omega @ rep.per_position_gain))
 
 
 class TestChaining:
@@ -438,8 +431,8 @@ def _masked_log2_f(table, positions):
     return np.log1p(table.beta * _masked_excess_at(table, positions)) / LN2
 
 
-def _former_block_gain(table, nu_h) -> tuple[float, float, np.ndarray]:
-    """The former ``block_gain``: full ``(2^k, 16)`` arrays; rate, variance, per position."""
+def _former_block_gain(table, nu_h) -> tuple[float, float]:
+    """The former ``block_gain``: full ``(2^k, 16)`` arrays; rate and variance."""
     n = table.n_positions
     j = np.arange(1, n + 1, dtype=np.float64)
     q = 1.0 / (n - j + 1.0)
@@ -452,7 +445,7 @@ def _former_block_gain(table, nu_h) -> tuple[float, float, np.ndarray]:
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
     e1 = float(omega @ m_j)
     e2 = float(omega @ s_j + 2.0 * (omega * m_j) @ prefix)
-    return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0), m_j / table.beta
+    return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0)
 
 
 def _former_estimate(table, nu_h, n_samples=2048) -> float:
@@ -471,7 +464,7 @@ def _former_search_table(nu_h, beta, k) -> pef.PefTable:
     n = 2**k
 
     def anchor(j):
-        q = input_distribution(j, k)
+        q = input_distribution(j, k).q
         return pef.optimize_trial_pef(nu_h, q, beta, strict=False)[0]
 
     a1, ak = anchor(1), anchor(n)
@@ -543,14 +536,12 @@ class TestBatchedBuild:
         )
         for t in (production_table, small_table):
             rep = pef.block_gain(t, nu)
-            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)[:2]
+            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)
 
     def test_block_gain_row_runs_match_full_arrays(self, design):
         """Moments summed a run of rows at a time equal the full-array sums bit for bit."""
         nu = design["distribution"]
         betas = [1e-9, PAPER_BETA, 3e-6]
         for t in pef.build_pef_tables(nu, betas, PAPER_K, j_mid=PAPER_J_MID):
-            rep = pef.block_gain(t, nu, keep_per_position=True)
-            g, var, per = _former_block_gain(t, nu)
-            assert (rep.g_block, rep.var_block) == (g, var)
-            assert rep.per_position_gain.tobytes() == per.tobytes()
+            rep = pef.block_gain(t, nu)
+            assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)
