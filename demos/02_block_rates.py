@@ -8,7 +8,7 @@ interpolation loses against per-position optimisation.
 
 import numpy as np
 
-from direx import block_gain, build_pef_table, input_distribution, optimize_trial_pef
+from direx import block_gain, build_pef_table, optimize_trial_pef, spot_probability
 from direx.data import commissioning_distribution
 from direx.pef import _cell_input_weights
 
@@ -28,7 +28,7 @@ rng = np.random.default_rng(1)
 positions = np.sort(rng.integers(2, 2**K, size=8))
 print("\ninterpolated vs individually optimised gain (bits, sampled positions):")
 for j in positions:
-    q = input_distribution(int(j), K).q
+    q = spot_probability(int(j), K)
     w = _cell_input_weights(q) * nu.table.ravel()
     g_interp = float(w @ table.log2_f(np.array([int(j)]))[0]) / BETA
     _, g_opt = optimize_trial_pef(nu, q, BETA)

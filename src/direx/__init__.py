@@ -4,9 +4,11 @@ Library layers, bottom up:
 
 * :mod:`direx.model` — CHSH trial distributions, the Tsirelson-bounded
   polytope and its 80 extreme points (built in closed form),
-  maximum-likelihood fitting, statistical strength;
+  maximum-likelihood fitting, statistical strength, and the spot-check
+  probability of a block position (``spot_probability``);
 * :mod:`direx.pef` — probability estimation factors: optimisation,
-  one interpolation path across block positions (``PefTable.excess_at``),
+  one interpolation across block positions (``PefTable._excess``, entered
+  by position through ``PefTable.excess_at`` and ``PefTable.log2_f``),
   block rates and variances, min-entropy certificates;
 * :mod:`direx.protocol` — block simulation, witness accumulation and
   file formats;
@@ -41,12 +43,11 @@ _EXPORTS = {
     "direx.model": (
         "ConditionalDistribution",
         "CountsTable",
-        "InputDistribution",
         "PolytopeVertexSet",
         "enumerate_extreme_points",
         "fit_mle",
-        "input_distribution",
         "is_member_T",
+        "spot_probability",
         "statistical_strength",
     ),
     "direx.pef": (

@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,7 +160,7 @@ def cmd_rate(args) -> int:
 
     table = pef.PefTable.from_json(Path(args.pef).read_text())
     for i, a in enumerate(table.anchors):
-        if not pef.is_valid_pef(a, a.position_q):
+        if not pef.is_valid_pef(a):
             raise InputError(f"{args.pef}: anchor {i} fails the PEF inequality")
     dist = _load(model.ConditionalDistribution, args.distribution)
     rep = pef.block_gain(table, dist)
@@ -172,7 +173,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from direx import model, planner
+    from direx import ledger, model, planner
 
     dist = _load(model.ConditionalDistribution, args.distribution)
     files = [Path(args.distribution)]
@@ -183,7 +184,7 @@ def cmd_plan(args) -> int:
         if args.blocks:
             n_b = args.blocks
         elif args.budget:
-            n_b = int(args.budget / ((1 + 2**args.k) / 2))
+            n_b = int(args.budget / ledger.expected_trials(1, args.k))
         else:
             raise InputError("plan needs --blocks or --budget")
         feasible, plan = planner.expansion_feasible(dist, n_b, args.k, args.eps)
@@ -317,8 +318,18 @@ def cmd_report(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` every subcommand's, that
+    reads ``-1e9`` as a number: argparse before Python 3.13 takes it for an
+    option, and ``--gmin -1e9`` would fail with "expected one argument"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="direx",
         description="Spot-checked device-independent randomness expansion toolkit",
     )

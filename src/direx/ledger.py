@@ -18,6 +18,7 @@ __all__ = [
     "AccumulatorState",
     "ExpansionReport",
     "consumed_bits",
+    "expected_trials",
     "experiment_output_length",
     "expansion_summary",
 ]
@@ -73,6 +74,11 @@ def consumed_bits(N_run: int, k: int) -> int:
     if N_run < 0:
         raise ValueError("N_run must be nonnegative")
     return N_run * (k + BITS_PER_SPOT_CHECK)
+
+
+def expected_trials(N_b: int, k: int) -> float:
+    """Expected trials in ``N_b`` blocks: lengths are uniform on ``1..2^k``."""
+    return N_b * (1 + 2**k) / 2
 
 
 def experiment_output_length(N_b: int, k: int) -> int:

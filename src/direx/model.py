@@ -33,14 +33,13 @@ __all__ = [
     "PAIR_ORDER",
     "ConditionalDistribution",
     "CountsTable",
-    "InputDistribution",
     "PolytopeVertexSet",
     "MleConvergenceError",
     "enumerate_extreme_points",
     "is_member_T",
     "fit_mle",
     "statistical_strength",
-    "input_distribution",
+    "spot_probability",
 ]
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -294,39 +293,25 @@ class CountsTable:
         return cls(c)
 
 
-@dataclass(frozen=True)
-class InputDistribution:
-    """Settings distribution for one trial position inside a block.
+def spot_probability(j, k: int):
+    """Probability ``q_j = 1/(2^k - j + 1)`` that position ``j`` is a block's
+    spot check, for blocks of length uniform on ``1..2^k``.
 
-    With spot-check probability ``q`` the settings are uniform, otherwise
-    they are pinned to 00, so ``nu(00) = 1 - 3q/4`` and ``nu(z) = q/4`` for
-    the other three settings.  ``q`` may take any value in (0, 4/3); trial
-    positions give ``q = 1/(2^k - j + 1) <= 1``.
+    Position ``j`` takes the settings ``nu_q(00) = 1 - 3q/4`` and
+    ``nu_q(z) = q/4`` for the other three.  ``j`` is a position or an
+    integer array of positions in ``1..2^k``; a position gives a float, an
+    array a float64 array.  This is the only place the law is written.
     """
-
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 4.0 / 3.0:
-            raise ValueError(f"q must lie in (0, 4/3), got {self.q}")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        p = np.full(4, self.q / 4.0)
-        p[0] = 1.0 - 0.75 * self.q
-        return p
-
-    def prob(self, x: int, y: int) -> float:
-        return float(self.probabilities[pair_index(x, y)])
-
-
-def input_distribution(j: int, k: int) -> InputDistribution:
-    """Input distribution at trial position ``j`` of a block, 1 <= j <= 2^k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not 1 <= j <= 2**k:
-        raise ValueError(f"position j={j} outside 1..2^{k}")
-    return InputDistribution(q=1.0 / (2**k - j + 1))
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"k must lie in 0..{MAX_K}, got {k}")
+    j = np.asarray(j)
+    if j.dtype.kind not in "iu":
+        raise TypeError(f"positions must be integers, got {j.dtype}")
+    n = 2**k
+    if ((j < 1) | (j > n)).any():
+        raise ValueError(f"positions outside 1..2^{k}")
+    q = 1.0 / (n - j.astype(np.int64, copy=False) + 1.0)
+    return float(q) if q.ndim == 0 else q
 
 
 # ---------------------------------------------------------------------------

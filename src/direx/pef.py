@@ -17,8 +17,10 @@ inequality runs over the 80 vertices of
 the one tolerance ``_ipm.REL_TOL``.
 
 Per-position PEFs for a whole block come from three optimised anchors at
-positions ``1 < j_mid < 2^k``; :meth:`PefTable.excess_at` is the one path
-that interpolates between them.  Multiplying a PEF for ``nu_q`` by
+positions ``1 < j_mid < 2^k``; :meth:`PefTable._excess` is the one
+interpolation between them, entered by position through
+:meth:`PefTable.excess_at` and :meth:`PefTable.log2_f` with
+:func:`direx.model.spot_probability`.  Multiplying a PEF for ``nu_q`` by
 ``4 nu_q(z)`` gives a PEF valid for uniform inputs, and convex combinations
 of those are again valid, so the lifted anchors are interpolated linearly in
 the spot-check probability ``q`` and divided by the position's own
@@ -51,7 +53,7 @@ from direx.model import (
     MAX_K,
     ConditionalDistribution,
     enumerate_extreme_points,
-    input_distribution,
+    spot_probability,
 )
 
 __all__ = [
@@ -153,10 +155,10 @@ class TrialPef:
         return cls(excess=excess, beta=beta, position_q=q)
 
 
-def is_valid_pef(f: TrialPef, q: float) -> bool:
-    """Check the PEF inequality at every extreme point of the polytope, to
-    ``PEF_VALIDITY_TOL`` per trial."""
-    A, rho = pef_constraints(q, f.beta)
+def is_valid_pef(f: TrialPef) -> bool:
+    """Check the PEF inequality at every extreme point of the polytope, at
+    the PEF's own ``position_q`` and to ``PEF_VALIDITY_TOL`` per trial."""
+    A, rho = pef_constraints(f.position_q, f.beta)
     # constraint in deviation form avoids the 1 +/- 1e-6 cancellation
     return bool((A @ f.excess.ravel() <= rho + PEF_VALIDITY_TOL / f.beta).all())
 
@@ -243,14 +245,7 @@ class PefTable:
         s''(1 + beta y'')`` divided by ``s(q_j)`` is ``1 + beta * (lam s' y' +
         (1 - lam) s'' y'') / s(q_j)``, because ``s`` is linear in ``q``.
         """
-        j = self._checked(positions)
-        return self._excess(1.0 / (self.n_positions - j + 1.0))
-
-    def _checked(self, positions) -> np.ndarray:
-        j = np.asarray(positions, dtype=np.int64)
-        if ((j < 1) | (j > self.n_positions)).any():
-            raise ValueError("positions outside 1..2^k")
-        return j
+        return self._excess(spot_probability(positions, self.k))
 
     def _excess(self, q: np.ndarray, cells: np.ndarray = _ALL_CELLS) -> np.ndarray:
         """:meth:`excess_at` at spot-check probabilities ``q``.
@@ -260,7 +255,7 @@ class PefTable:
         operation runs along the positions, and each entry takes the same
         arithmetic whichever cells are kept.
         """
-        q = q.ravel()
+        q = np.ravel(q)
         if q.size > 1 and (q[1:] < q[:-1]).any():
             order = np.argsort(q, kind="stable")
             out = np.empty((q.size, cells.shape[1]))
@@ -295,11 +290,7 @@ class PefTable:
         ``cells`` keeps only some cells, as in :meth:`_excess`; the shape is
         then ``(n, c)``.
         """
-        j = self._checked(positions)
-        return self._log2_f(1.0 / (self.n_positions - j + 1.0), cells)
-
-    def _log2_f(self, q: np.ndarray, cells: np.ndarray = _ALL_CELLS) -> np.ndarray:
-        out = self._excess(q, cells)
+        out = self._excess(spot_probability(positions, self.k), cells)
         out *= self.beta
         np.log1p(out, out=out)
         out /= _LN2
@@ -349,7 +340,7 @@ def _anchor_qs(k: int, j_mid: int) -> list[float]:
     """Spot-check probabilities of the anchor positions 1, ``j_mid`` and ``2^k``."""
     if not (2 <= k <= MAX_K and 1 < j_mid < 2**k):
         raise ValueError(f"need 2 <= k <= {MAX_K} and 1 < j_mid < 2^k, got k={k}, j_mid={j_mid}")
-    return [input_distribution(j, k).q for j in (1, j_mid, 2**k)]
+    return [spot_probability(j, k) for j in (1, j_mid, 2**k)]
 
 
 @dataclass(frozen=True)
@@ -382,8 +373,8 @@ def block_gain(table: PefTable, nu_h: ConditionalDistribution) -> GainReport:
     products of conditional means with prefix sums over earlier positions.
     """
     n = table.n_positions
-    j = np.arange(1, n + 1, dtype=np.float64)
-    q = 1.0 / (n - j + 1.0)
+    j = np.arange(1, n + 1)
+    q = spot_probability(j, table.k)
     omega = (n - j + 1.0) / n
     m_j, m00, s_j = np.empty(n), np.empty(n), np.empty(n)
     # moments over bounded runs of rows: no (2^k, 16) temporaries at k=17
@@ -392,7 +383,7 @@ def block_gain(table: PefTable, nu_h: ConditionalDistribution) -> GainReport:
         w = _cell_input_weights(q[rows])
         # row-major, so that each moment sums its 16 cells in the same order
         # as over a full (2^k, 16) table
-        log2f = np.ascontiguousarray(table._log2_f(q[rows]))
+        log2f = np.ascontiguousarray(table.log2_f(j[rows]))
         w *= nu_h.table.ravel()[None, :]
         m_j[rows] = np.einsum("ji,ji->j", w, log2f)
         m00[rows] = log2f[:, :4] @ nu_h.table[0]  # E[log2 F_j | z = 00]
@@ -448,12 +439,12 @@ _GRID_SAMPLES = 2048
 
 
 @functools.lru_cache(maxsize=8)
-def _sample_grid(n: int) -> tuple[np.ndarray, ...]:
-    """Decimated positions with their ``q``, ``nu_q`` and reach."""
+def _sample_grid(k: int) -> tuple[np.ndarray, ...]:
+    """Decimated positions of a ``2^k`` block with their ``nu_q`` and reach."""
+    n = 2**k
     pos = np.unique(np.round(np.linspace(1, n, _GRID_SAMPLES)).astype(np.int64))
-    q = 1.0 / (n - pos + 1.0)
-    nu = _cell_input_weights(q)
-    grid = (pos, q, nu, (n - pos + 1.0) / n)
+    nu = _cell_input_weights(spot_probability(pos, k))
+    grid = (pos, nu, (n - pos + 1.0) / n)
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -461,11 +452,10 @@ def _sample_grid(n: int) -> tuple[np.ndarray, ...]:
 
 def _table_gain_estimate(table: PefTable, nu_h) -> float:
     """Trapezoid estimate of the block rate on a decimated position grid."""
-    n = table.n_positions
-    if n <= _GRID_SAMPLES:
+    if table.n_positions <= _GRID_SAMPLES:
         return block_gain(table, nu_h).g_block
-    pos, q, nu, omega = _sample_grid(n)
-    log2f = np.ascontiguousarray(table._log2_f(q))
+    pos, nu, omega = _sample_grid(table.k)
+    log2f = np.ascontiguousarray(table.log2_f(pos))
     w = nu * nu_h.table.ravel()[None, :]
     m_j = np.einsum("ji,ji->j", w, log2f)
     return float(np.trapezoid(omega * m_j, pos) / table.beta)
@@ -551,7 +541,7 @@ def build_pef_tables(
         ]
         for at in range(0, len(jobs), ANCHOR_BATCH):
             batch = jobs[at : at + ANCHOR_BATCH]
-            qs = [input_distribution(j, k).q for _, j in batch]
+            qs = [spot_probability(j, k) for _, j in batch]
             problems = [_pef_problem(nu_h, q, betas[i]) for (i, _), q in zip(batch, qs)]
             sols = solve_trial_pefs(problems, strict=strict)
             for (i, j), problem, sol, q in zip(batch, problems, sols, qs):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
-from direx.ledger import consumed_bits, experiment_output_length
+from direx.ledger import consumed_bits, expected_trials, experiment_output_length
 from direx.model import ConditionalDistribution, is_member_T
 from direx.pef import block_gain, build_pef_tables
 
@@ -277,7 +277,7 @@ def expansion_feasible(
 def _asymptotically_feasible(curve: GainCurve, k: int) -> bool:
     """Expansion needs some power with g_b above the per-block consumption."""
     probe = np.geomspace(*BETA_BRACKET, 12)
-    return any(g_b > k + 2 for g_b, _, _ in curve.rates(probe))
+    return any(g_b > consumed_bits(1, k) for g_b, _, _ in curve.rates(probe))
 
 
 def min_blocks(
@@ -291,7 +291,7 @@ def min_blocks(
         curve = GainCurve(nu_h, k)
     if not _asymptotically_feasible(curve, k):
         raise InfeasiblePlan(
-            f"block rate never exceeds the {k + 2} bits consumed per block at k={k}"
+            f"block rate never exceeds the {consumed_bits(1, k)} bits consumed per block at k={k}"
         )
     lo, hi = 1, None
     n = 1 << 18
@@ -313,7 +313,7 @@ def min_blocks(
             lo = mid
     _, plan = expansion_feasible(nu_h, hi, k, eps, curve=curve)
     plan.N_b_min = hi
-    plan.N_t_min = hi * (1 + 2**k) / 2.0
+    plan.N_t_min = expected_trials(hi, k)
     return plan
 
 

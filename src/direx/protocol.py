@@ -575,7 +575,7 @@ def accumulate(
             )
             if table.k != cfg.k or not math.isclose(table.beta, cfg.beta):
                 raise ValueError(f"cycle {ci}: PEF table does not match the run configuration")
-            if not all(is_valid_pef(a, a.position_q) for a in table.anchors):
+            if not all(map(is_valid_pef, table.anchors)):
                 raise ValueError(f"cycle {ci}: PEF table anchor fails the PEF inequality")
             tabs = _witness_tables(table)
             for fi, f in enumerate(cycles[ci].files):

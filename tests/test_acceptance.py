@@ -108,7 +108,7 @@ def test_criterion_4_interpolation_quality(commissioning, production_table):
     interp_total = 0.0
     opt_total = 0.0
     for row, j, om in zip(log2f, positions, omega):
-        q = model.input_distribution(int(j), PAPER_K).q
+        q = model.spot_probability(int(j), PAPER_K)
         w = pef._cell_input_weights(q) * nu_h.table.ravel()
         g_interp = float(w @ row) / PAPER_BETA
         _, g_opt = pef.optimize_trial_pef(nu_h, q, PAPER_BETA)
@@ -291,7 +291,7 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
         beta = 10.0 ** rng.uniform(-8, -0.5)
         q = 10.0 ** rng.uniform(-5.5, 0.0)
         tp, g = pef.optimize_trial_pef(d, q, beta)
-        assert pef.is_valid_pef(tp, q), (i, beta, q)
+        assert pef.is_valid_pef(tp), (i, beta, q)
         assert g >= -1e-9
     tables = [
         small_table,
@@ -301,13 +301,13 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
         t = tables[i % len(tables)]
         j = int(rng.integers(1, t.n_positions + 1))
         y = t.excess_at(np.array([j]))[0].reshape(4, 4)
-        tp = pef.TrialPef.from_excess(y, t.beta, model.input_distribution(j, t.k).q)
-        assert pef.is_valid_pef(tp, tp.position_q), (t.k, j)
+        tp = pef.TrialPef.from_excess(y, t.beta, model.spot_probability(j, t.k))
+        assert pef.is_valid_pef(tp), (t.k, j)
 
     # (b) the constant table is a PEF for every model and power
     for beta in (1e-8, 1e-5, 1e-2, 0.3):
         for q in (1e-5, 1e-2, 0.5, 1.0):
-            assert pef.is_valid_pef(pef.TrialPef.constant_one(beta, q), q)
+            assert pef.is_valid_pef(pef.TrialPef.constant_one(beta, q))
 
     # (c) sparse and dense accumulation agree exactly
     rng2 = protocol.stream_rng(5150)

@@ -603,6 +603,21 @@ class TestPlan:
         assert code == cli.EXIT_INPUT_ERROR
 
 
+class TestNumberArguments:
+    @pytest.mark.parametrize("text, value", [("-1e9", -1e9), ("-1.5E+3", -1500.0)])
+    def test_gmin_takes_negative_exponent_numbers(self, monkeypatch, text, value):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_accumulate", lambda args: seen.append(args.gmin) or 0)
+        assert cli.main(["accumulate", "data", "--beta", "1e-3", "--gmin", text]) == cli.EXIT_OK
+        assert seen == [value]
+
+    def test_gmin_without_value_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["accumulate", "data", "--gmin", "--beta", "1"])
+        assert exc.value.code == cli.EXIT_INPUT_ERROR
+        assert "argument --gmin: expected one argument" in capsys.readouterr().err
+
+
 class TestIdempotency:
     def test_same_manifest_hash_on_rerun(self, workdir, capsys):
         _, out1 = run(capsys, "strength", workdir / "dist.json")
@@ -700,7 +715,7 @@ class TestImportSets:
 
 class TestLazyExports:
     def test_every_export_resolves_to_its_layer_and_is_listed(self):
-        assert len(direx.__all__) == 41
+        assert len(direx.__all__) == 40
         assert set(direx.__all__) <= set(dir(direx))
         for name in direx.__all__:
             if name in direx._SUBMODULES:

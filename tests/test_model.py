@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 
 from direx import model
 from direx.model import (
+    MAX_K,
     TSIRELSON_BOUND,
     ConditionalDistribution,
     CountsTable,
-    InputDistribution,
     MleConvergenceError,
     enumerate_extreme_points,
     fit_mle,
-    input_distribution,
     is_member_T,
+    pair_index,
+    spot_probability,
     statistical_strength,
 )
+from direx.pef import _cell_input_weights
 from tests.conftest import random_polytope_point
 
 UNIFORM = ConditionalDistribution(np.full((4, 4), 0.25))
@@ -219,36 +221,57 @@ class TestMembership:
 
 
 class TestInputDistribution:
+    """The spot-check law ``q_j = 1/(2^k - j + 1)`` and the settings
+    distribution ``nu_q`` it gives position ``j``."""
+
     def test_last_position_is_uniform(self):
         for k in (0, 3, 17):
-            nu = input_distribution(2**k, k)
-            assert nu.q == 1.0
-            np.testing.assert_allclose(nu.probabilities, 0.25)
+            q = spot_probability(2**k, k)
+            assert q == 1.0
+            np.testing.assert_allclose(_cell_input_weights(q), 0.25)
 
     def test_first_position_k17(self):
-        nu = input_distribution(1, 17)
-        assert nu.q == pytest.approx(2.0**-17)
-        assert nu.prob(0, 0) == pytest.approx(1 - 3 / (4 * 2**17))
-        assert nu.prob(1, 0) == pytest.approx(1 / (4 * 2**17))
+        q = spot_probability(1, 17)
+        assert q == 2.0**-17
+        nu = _cell_input_weights(q).reshape(4, 4)[:, 0]
+        assert nu[pair_index(0, 0)] == pytest.approx(1 - 3 / (4 * 2**17))
+        assert nu[pair_index(1, 0)] == pytest.approx(1 / (4 * 2**17))
 
     def test_middle_position_formula(self):
-        nu = input_distribution(53_478, 17)
-        assert nu.q == pytest.approx(1.0 / 77_595)
+        assert spot_probability(53_478, 17) == 1.0 / 77_595
 
     @pytest.mark.parametrize("j,k", [(0, 4), (17, 4), (2**17 + 1, 17)])
     def test_out_of_range(self, j, k):
         with pytest.raises(ValueError):
-            input_distribution(j, k)
+            spot_probability(j, k)
+        with pytest.raises(ValueError):
+            spot_probability(np.array([1, j]), k)
+
+    def test_non_integer_positions_refused(self):
+        for j in (2.5, np.array([1.0, 2.0])):
+            with pytest.raises(TypeError):
+                spot_probability(j, 3)
 
     @given(k=st.integers(0, 20), frac=st.floats(0, 1, exclude_max=True))
     @settings(max_examples=60, deadline=None)
     def test_probabilities_form_distribution(self, k, frac):
         j = 1 + int(frac * (2**k - 1))
-        nu = input_distribution(j, k)
-        p = nu.probabilities
-        assert (p >= 0).all()
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert nu.q == pytest.approx(1.0 / (2**k - j + 1))
+        q = spot_probability(j, k)
+        nu = _cell_input_weights(q).reshape(4, 4)[:, 0]
+        assert (nu >= 0).all()
+        assert nu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert q == pytest.approx(1.0 / (2**k - j + 1))
+
+    @given(k=st.integers(0, MAX_K), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_bit_for_bit(self, k, data):
+        js = data.draw(st.lists(st.integers(1, 2**k), min_size=1, max_size=16))
+        got = spot_probability(np.array(js), k)
+        assert got.dtype == np.float64 and got.shape == (len(js),)
+        for g, j in zip(got.tolist(), js):
+            scalar = spot_probability(j, k)
+            assert type(scalar) is float
+            assert g.hex() == scalar.hex() == (1.0 / (2**k - j + 1)).hex()
 
 
 class TestMle:

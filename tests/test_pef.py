@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from direx import _ipm, pef, protocol
-from direx.model import ConditionalDistribution, input_distribution
+from direx.model import ConditionalDistribution, spot_probability
 from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
 from tests.test_model import json_near
 
@@ -31,7 +31,7 @@ class TestValidity:
     @pytest.mark.parametrize("beta", [1e-8, 1e-3, 0.2])
     def test_constant_one_is_always_valid(self, q, beta):
         f = pef.TrialPef.constant_one(beta, q)
-        assert pef.is_valid_pef(f, q)
+        assert pef.is_valid_pef(f)
 
     def test_scaled_violation_detected(self, commissioning):
         tp, _ = pef.optimize_trial_pef(
@@ -40,11 +40,11 @@ class TestValidity:
         bad = tp.f.copy()
         bad[0, 0] *= 1.001  # push past a tight vertex constraint
         broken = pef.TrialPef.from_excess((bad - 1.0) / tp.beta, tp.beta, tp.position_q)
-        assert not pef.is_valid_pef(broken, 0.3)
+        assert not pef.is_valid_pef(broken)
 
     def test_production_anchor_valid(self, production_table):
         for a in production_table.anchors:
-            assert pef.is_valid_pef(a, a.position_q)
+            assert pef.is_valid_pef(a)
 
 
 class TestOptimizer:
@@ -52,7 +52,7 @@ class TestOptimizer:
         d = ConditionalDistribution(vertices.lr_vertices[7].reshape(4, 4))
         tp, g = pef.optimize_trial_pef(d, 1.0, 0.01)
         assert abs(g) < 1e-10
-        assert pef.is_valid_pef(tp, 1.0)
+        assert pef.is_valid_pef(tp)
         np.testing.assert_allclose(tp.f, 1.0, atol=1e-9)
 
     def test_two_vertex_toy_matches_dual_grid(self, vertices):
@@ -97,10 +97,10 @@ class TestOptimizer:
     def test_certified_gap_is_tight(self, commissioning):
         tp, g = pef.optimize_trial_pef(
             commissioning["distribution"],
-            input_distribution(PAPER_J_MID, PAPER_K).q,
+            spot_probability(PAPER_J_MID, PAPER_K),
             PAPER_BETA,
         )
-        assert pef.is_valid_pef(tp, tp.position_q)
+        assert pef.is_valid_pef(tp)
         assert g > 0
 
     def test_gain_continuous_in_beta(self, commissioning):
@@ -114,7 +114,7 @@ class TestOptimizer:
 def _pef_at(table: pef.PefTable, j: int) -> pef.TrialPef:
     """The interpolated PEF at position ``j``, from ``excess_at``."""
     y = table.excess_at(np.array([j]))[0].reshape(4, 4)
-    return pef.TrialPef.from_excess(y, table.beta, input_distribution(j, table.k).q)
+    return pef.TrialPef.from_excess(y, table.beta, spot_probability(j, table.k))
 
 
 def _lifted(tp: pef.TrialPef) -> np.ndarray:
@@ -134,7 +134,7 @@ class TestLift:
         lifted = _lifted(pef.TrialPef.constant_one(0.01, q))
         expected = 4.0 * pef._cell_input_weights(q).reshape(4, 4)
         np.testing.assert_allclose(lifted, expected, rtol=1e-15)
-        assert pef.is_valid_pef(pef.TrialPef.from_excess((lifted - 1.0) / 0.01, 0.01, 1.0), 1.0)
+        assert pef.is_valid_pef(pef.TrialPef.from_excess((lifted - 1.0) / 0.01, 0.01, 1.0))
 
 
 class TestInterpolation:
@@ -148,7 +148,7 @@ class TestInterpolation:
         rng = np.random.default_rng(5)
         for j in rng.integers(2, 2**PAPER_K, size=12):
             tp = _pef_at(production_table, int(j))
-            assert pef.is_valid_pef(tp, tp.position_q)
+            assert pef.is_valid_pef(tp)
 
     def test_lifted_entries_between_anchor_entries(self, production_table):
         t = production_table
@@ -172,7 +172,7 @@ class TestInterpolation:
         scales = [4.0 * pef._cell_input_weights(q).reshape(4, 4) for q in qs]
         js = np.array([2, 77, 9999, 53_477, 100_000])
         for row, j in zip(t.excess_at(js), js):
-            q = input_distribution(int(j), t.k).q
+            q = spot_probability(int(j), t.k)
             i = 0 if q <= qs[1] else 1
             lam = (qs[i + 1] - q) / (qs[i + 1] - qs[i])
             s_lo, s_hi = scales[i], scales[i + 1]
@@ -183,9 +183,12 @@ class TestInterpolation:
             np.testing.assert_allclose(row.reshape(4, 4), want, rtol=1e-11, atol=1e-13)
 
     def test_out_of_range_position(self, production_table):
+        t = production_table
         for j in (0, 2**17 + 1):
-            with pytest.raises(ValueError):
-                production_table.excess_at(np.array([j]))
+            for positions in (np.array([j]), np.array([1, 2**17, j, 5])):
+                for entry in (t.excess_at, t.log2_f):
+                    with pytest.raises(ValueError, match="outside"):
+                        entry(positions)
 
 
 def _exact_block_moments(table: pef.PefTable, nu_h: ConditionalDistribution):
@@ -225,7 +228,7 @@ class TestBlockGain:
     def test_all_ones_table_gives_zero(self):
         beta, k = 0.01, 3
         anchors = tuple(
-            pef.TrialPef.constant_one(beta, input_distribution(j, k).q)
+            pef.TrialPef.constant_one(beta, spot_probability(j, k))
             for j in (1, 4, 8)
         )
         table = pef.PefTable(k=k, beta=beta, j_mid=4, anchors=anchors)
@@ -390,7 +393,7 @@ class TestSerialization:
 #: a valid k=3 table as ``to_json`` writes it
 _TABLE = json.loads(
     pef.PefTable(
-        3, 0.01, 4, tuple(pef.TrialPef.constant_one(0.01, input_distribution(j, 3).q) for j in (1, 4, 8))
+        3, 0.01, 4, tuple(pef.TrialPef.constant_one(0.01, spot_probability(j, 3)) for j in (1, 4, 8))
     ).to_json()
 )
 
@@ -464,7 +467,7 @@ def _former_search_table(nu_h, beta, k) -> pef.PefTable:
     n = 2**k
 
     def anchor(j):
-        q = input_distribution(j, k).q
+        q = spot_probability(j, k)
         return pef.optimize_trial_pef(nu_h, q, beta, strict=False)[0]
 
     a1, ak = anchor(1), anchor(n)
