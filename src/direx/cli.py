@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ class RunManifest:
     """Resolved description of one command invocation.
 
     Captures the command, its logical parameters (output destinations and
-    execution-only flags such as ``--threads`` are excluded, so reruns that
-    only change where results land or how the work is spread hash the
-    same), the input files and the seed when the command consumes one.
+    ``--threads``, which has no effect, are excluded, so reruns that only
+    change where results land hash the same), the input files and the seed
+    when the command consumes one.
     Every referenced file must exist before execution.
     """
 
@@ -181,9 +180,9 @@ def cmd_plan(args) -> int:
         lo, hi = (int(v) for v in args.k_range.split(":"))
         obj = planner.optimal_block_length(dist, args.eps, range(lo, hi + 1)).to_dict()
     else:
-        if args.blocks:
+        if args.blocks is not None:
             n_b = args.blocks
-        elif args.budget:
+        elif args.budget is not None:
             n_b = int(args.budget / ledger.expected_trials(1, args.k))
         else:
             raise InputError("plan needs --blocks or --budget")
@@ -215,19 +214,13 @@ def cmd_simulate(args) -> int:
         files_per_cycle=args.files_per_cycle,
         calib_trials=args.calib_trials,
         trailing_calib_trials=args.trailing_calib_trials,
-        threads=args.threads or 1,
     )
-    manifest = RunManifest.resolve("simulate", args, [Path(args.distribution)])
-    meta = manifest.stamp(
-        {
-            "k": args.k,
-            "n_blocks": summary["n_blocks"],
-            "distribution": str(args.distribution),
-        }
-    )
-    protocol.write_dataset(cycles, args.out, meta)
+    # the hash and seed, computed once for the dataset's manifest and stdout
+    stamp = RunManifest.resolve("simulate", args, [Path(args.distribution)]).stamp({})
+    meta = {"k": args.k, "n_blocks": summary["n_blocks"], "distribution": str(args.distribution)}
+    protocol.write_dataset(cycles, args.out, {**meta, **stamp})
     summary["out"] = str(args.out)
-    _emit(manifest.stamp(summary), args)
+    _emit({**summary, **stamp}, args)
     return EXIT_OK
 
 
@@ -263,7 +256,7 @@ def cmd_accumulate(args) -> int:
         j_mid = table.j_mid
         return table
 
-    state, trace = protocol.accumulate(cycles, cfg, builder, threads=args.threads or 1)
+    state, trace = protocol.accumulate(cycles, cfg, builder)
     obj = state.to_dict()
     files = [root / "manifest.json"]
     for calib, pairs in protocol.dataset_layout(root):
@@ -381,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-trials", type=int, default=100_000)
     p.add_argument("--trailing-calib-trials", type=int, default=10_000)
     p.add_argument("--deadtime", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_simulate)
 
     p = add_parser("accumulate", help="run the witness accumulation analysis")
@@ -395,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-granularity", choices=("block", "file"), default="block")
     p.add_argument("--trace", help="write the witness trace CSV here")
     p.add_argument("--trace-decimation", type=int, default=1)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_accumulate)
 
     p = add_parser("extract-params", help="extractor seed/output budget")

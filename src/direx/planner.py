@@ -250,6 +250,8 @@ def expansion_feasible(
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
+    if N_b < 1:
+        raise ValueError(f"N_b must be at least 1 block, got {N_b}")
     if not is_member_T(nu_h):
         raise ValueError("nu_h is outside the trial polytope")
     if curve is None:

@@ -21,9 +21,9 @@ Randomness budget: each block costs ``k`` bits for its length and 2 bits
 for the spot-check settings; that accounting lives in :mod:`direx.ledger`,
 whose names this module re-exports.  Counter-based generators keyed by
 ``(seed, stream)`` make simulated datasets and witness traces bit-exact
-reproducible regardless of how work is sharded.  Only :func:`accumulate`
-needs :mod:`direx.pef`, so it is imported there: simulating loads no
-PEF layer.
+reproducible.  Simulation and analysis each run in one process, in one
+pass.  Only :func:`accumulate` needs :mod:`direx.pef`, so it is imported
+there: simulating loads no PEF layer.
 """
 
 from __future__ import annotations
@@ -353,17 +353,6 @@ def simulate_calibration_counts(
     return CountsTable(draw.reshape(4, 4))
 
 
-def _simulate_block_range(
-    table: np.ndarray, k: int, seed: int, start: int, stop: int
-) -> list[tuple[np.ndarray, ...]]:
-    """Columns of blocks ``start..stop-1``, ``start`` a multiple of ``_CHUNK``:
-    chunk ``c`` (blocks from ``c * _CHUNK``) is one draw on its own stream."""
-    return [
-        _sample_blocks(table, k, min(_CHUNK, stop - a), stream_rng(seed, _CHUNK_STREAMS + c))
-        for c, a in enumerate(range(start, stop, _CHUNK), start // _CHUNK)
-    ]
-
-
 def simulate_dataset(
     nu_h: ConditionalDistribution,
     cfg: RunConfig,
@@ -375,29 +364,19 @@ def simulate_dataset(
 ) -> tuple[list[CycleData], dict]:
     """Materialise an honest dataset in the cycle/file layout.
 
-    Blocks are drawn ``_CHUNK`` at a time on per-chunk streams keyed by
-    ``(seed, chunk index)``, so the dataset is bit-identical no matter how
-    the work is sharded; ``threads > 1`` simulates runs of whole chunks on
-    a process pool.  Calibration counts get their own stream range.
-    Returns the cycles and a wall-clock summary that includes dead-time
-    trials (skipped after each spot check, never recorded or analysed).
+    Blocks are drawn ``_CHUNK`` at a time: chunk ``c`` (blocks from ``c *
+    _CHUNK``) is one draw on the stream ``(seed, _CHUNK_STREAMS + c)``.
+    Calibration counts get their own stream range.  ``threads`` is accepted
+    and has no effect: the work runs in this process.  Returns the cycles
+    and a wall-clock summary that includes dead-time trials (skipped after
+    each spot check, never recorded or analysed).
     """
     if blocks_per_file < 1 or files_per_cycle < 1:
         raise ValueError("blocks_per_file and files_per_cycle must be at least 1")
-    table = np.asarray(nu_h.table)
-    shard = -(-cfg.N_b // (_CHUNK * max(threads, 1))) * _CHUNK  # whole chunks
-    ranges = [(a, min(a + shard, cfg.N_b)) for a in range(0, cfg.N_b, shard)]
-    if len(ranges) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            shards = [
-                pool.submit(_simulate_block_range, table, cfg.k, cfg.seed, a, b)
-                for a, b in ranges
-            ]
-            blocks = _join([cols for s in shards for cols in s.result()])
-    else:
-        blocks = _join(_simulate_block_range(table, cfg.k, cfg.seed, 0, cfg.N_b))
+    blocks = _join([
+        _sample_blocks(nu_h.table, cfg.k, min(_CHUNK, cfg.N_b - a), stream_rng(cfg.seed, stream))
+        for stream, a in enumerate(range(0, cfg.N_b, _CHUNK), _CHUNK_STREAMS)
+    ])
 
     def calibration(n_trials: int, stream: int) -> CountsTable:
         return simulate_calibration_counts(
@@ -501,18 +480,18 @@ def simulate_run_witness(
 
 
 def _usable_calibration(
-    cycles: Sequence[CycleData], index: int, n_calib_min: int
+    cycle: CycleData, previous: CycleData | None, n_calib_min: int, index: int
 ) -> CountsTable:
-    """Calibration counts for a cycle, borrowing from the previous cycle.
+    """Calibration counts for cycle ``index``, borrowing from ``previous``.
 
     When the cycle's own calibration file is short, trailing calibration
     from the previous cycle's expansion files is added, last file first,
     until the minimum is reached.
     """
-    counts = cycles[index].calibration.counts.copy()
+    counts = cycle.calibration.counts.copy()
     total = int(counts.sum())
-    if total < n_calib_min and index > 0:
-        for f in reversed(cycles[index - 1].files):
+    if total < n_calib_min and previous is not None:
+        for f in reversed(previous.files):
             if total >= n_calib_min:
                 break
             counts = counts + f.trailing_calibration.counts
@@ -526,13 +505,13 @@ def _usable_calibration(
 
 
 def accumulate(
-    cycles: Sequence[CycleData],
+    cycles: Iterable[CycleData],
     cfg: RunConfig,
     pef_builder: Callable[[ConditionalDistribution], PefTable],
     stop_on_success: bool = True,
     threads: int = 1,
 ) -> tuple[AccumulatorState, np.ndarray]:
-    """Run the analysis pass over cycles of recorded data.
+    """Run the analysis pass over cycles of recorded data, in order.
 
     Per cycle, the honest-device distribution is refitted from the usable
     calibration counts and ``pef_builder`` turns it into the per-position
@@ -543,71 +522,54 @@ def accumulate(
     the witness trace, one row ``(block_index, G_run, bits_consumed)`` per
     block.
 
-    Witness updates always commit in block order; ``threads > 1`` only
-    pipelines the next cycle's calibration fit and table build alongside
-    the current cycle's block processing.
+    ``cycles`` is walked once, so any iterable will do; only the previous
+    cycle is kept, for calibration borrowing.  ``threads`` is accepted and
+    has no effect: the pass runs in this thread.
     """
     from direx.pef import is_valid_pef
 
     state = AccumulatorState()
     rows: list[np.ndarray] = []
     per_file = cfg.check_granularity == "file"
-
-    def fit_cycle(ci: int) -> PefTable:
-        calib = _usable_calibration(cycles, ci, cfg.n_calib_min)
-        return pef_builder(fit_mle(calib))
-
-    pool = None
-    pending = None
-    if threads > 1 and len(cycles) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=max(1, threads - 1))
-    try:
-        for ci in range(len(cycles)):
+    previous = None
+    for ci, cycle in enumerate(cycles):
+        if state.N_run >= cfg.N_b:
+            break
+        calib = _usable_calibration(cycle, previous, cfg.n_calib_min, ci)
+        table = pef_builder(fit_mle(calib))
+        previous = cycle
+        if table.k != cfg.k or not math.isclose(table.beta, cfg.beta):
+            raise ValueError(f"cycle {ci}: PEF table does not match the run configuration")
+        if not all(map(is_valid_pef, table.anchors)):
+            raise ValueError(f"cycle {ci}: PEF table anchor fails the PEF inequality")
+        tabs = _witness_tables(table)
+        for fi, f in enumerate(cycle.files):
+            blocks = f.blocks[: cfg.N_b - state.N_run]
+            if (blocks.L > 2**cfg.k).any():
+                raise ValueError(f"cycle {ci}, file {fi}: block longer than 2^{cfg.k}")
+            inc = _log2_pef_sums(table, tabs, *blocks.columns) / cfg.beta
+            # increments can be negative: G_run is not monotone
+            g_run = np.cumsum(np.concatenate(([state.G_run], inc)))[1:]
+            crossed = np.flatnonzero(g_run >= cfg.G_min)
+            if not per_file and not state.succeeded and crossed.size:
+                state.succeeded = True
+                state.stop_block = state.N_run + int(crossed[0]) + 1
+                if stop_on_success:
+                    g_run = g_run[: crossed[0] + 1]
+            index = state.N_run + np.arange(1, g_run.size + 1)
+            bits = index * (cfg.k + BITS_PER_SPOT_CHECK)
+            rows.append(np.column_stack((index, g_run, bits)))
+            state.N_run += g_run.size
+            state.bits_consumed = consumed_bits(state.N_run, cfg.k)
+            if g_run.size:
+                state.G_run = float(g_run[-1])
+            if per_file and not state.succeeded and state.G_run >= cfg.G_min:
+                state.succeeded = True
+                state.stop_block = state.N_run
+            if state.succeeded and stop_on_success:
+                return state, np.concatenate(rows)
             if state.N_run >= cfg.N_b:
                 break
-            table = pending.result() if pending is not None else fit_cycle(ci)
-            pending = (
-                pool.submit(fit_cycle, ci + 1)
-                if pool is not None and ci + 1 < len(cycles)
-                else None
-            )
-            if table.k != cfg.k or not math.isclose(table.beta, cfg.beta):
-                raise ValueError(f"cycle {ci}: PEF table does not match the run configuration")
-            if not all(map(is_valid_pef, table.anchors)):
-                raise ValueError(f"cycle {ci}: PEF table anchor fails the PEF inequality")
-            tabs = _witness_tables(table)
-            for fi, f in enumerate(cycles[ci].files):
-                blocks = f.blocks[: cfg.N_b - state.N_run]
-                if (blocks.L > 2**cfg.k).any():
-                    raise ValueError(f"cycle {ci}, file {fi}: block longer than 2^{cfg.k}")
-                inc = _log2_pef_sums(table, tabs, *blocks.columns) / cfg.beta
-                # increments can be negative: G_run is not monotone
-                g_run = np.cumsum(np.concatenate(([state.G_run], inc)))[1:]
-                crossed = np.flatnonzero(g_run >= cfg.G_min)
-                if not per_file and not state.succeeded and crossed.size:
-                    state.succeeded = True
-                    state.stop_block = state.N_run + int(crossed[0]) + 1
-                    if stop_on_success:
-                        g_run = g_run[: crossed[0] + 1]
-                index = state.N_run + np.arange(1, g_run.size + 1)
-                bits = index * (cfg.k + BITS_PER_SPOT_CHECK)
-                rows.append(np.column_stack((index, g_run, bits)))
-                state.N_run += g_run.size
-                state.bits_consumed = consumed_bits(state.N_run, cfg.k)
-                if g_run.size:
-                    state.G_run = float(g_run[-1])
-                if per_file and not state.succeeded and state.G_run >= cfg.G_min:
-                    state.succeeded = True
-                    state.stop_block = state.N_run
-                if state.succeeded and stop_on_success:
-                    return state, np.concatenate(rows)
-                if state.N_run >= cfg.N_b:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
     return state, (np.concatenate(rows) if rows else np.empty((0, 3)))
 
 

@@ -330,7 +330,7 @@ class TestSimulateAccumulate:
         assert "at least 1" in capsys.readouterr().err
 
     def test_simulate_identical_bytes_across_threads(self, workdir, capsys):
-        # three chunks: two shards on a process pool at --threads 2
+        # three chunks; --threads is accepted and has no effect
         files, hashes = {}, {}
         for threads in (1, 2):
             ds = workdir / f"threads-{threads}"
@@ -352,7 +352,7 @@ class TestSimulateAccumulate:
         assert hashes[1] == hashes[2]
 
     def test_accumulate_identical_output_across_threads(self, workdir, capsys):
-        # three cycles, so that --threads 2 fits the next cycle on a pool
+        # three cycles; --threads is accepted and has no effect
         ds = workdir / "acc-threads"
         code, _ = run(
             capsys, "simulate", workdir / "dist.json", "--k", "4", "--blocks", "300",
@@ -601,6 +601,16 @@ class TestPlan:
     def test_plan_requires_budget_or_blocks(self, workdir, capsys):
         code, _ = run(capsys, "plan", workdir / "dist.json", "--eps", "1e-3")
         assert code == cli.EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "extra, n_b", [(["--blocks", "-5"], -5), (["--budget", "1"], 0), (["--blocks", "0"], 0)]
+    )
+    def test_plan_without_a_block_exit_2_with_one_line(self, workdir, capsys, extra, n_b):
+        code = cli.main(["plan", str(workdir / "dist.json"), "--eps", "1e-3", "--k", "4", *extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: N_b must be at least 1 block, got {n_b}\n"
 
 
 class TestNumberArguments:

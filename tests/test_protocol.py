@@ -410,13 +410,28 @@ class TestAccumulate:
                 ),
             ),
         )
-        usable = protocol._usable_calibration([c0, c1], 1, n_calib_min=9_000)
+        usable = protocol._usable_calibration(c1, c0, n_calib_min=9_000, index=1)
         assert usable.total == 2_000 + 4_000 + 4_000  # stops once satisfied
-        usable = protocol._usable_calibration([c0, c1], 1, n_calib_min=13_000)
+        usable = protocol._usable_calibration(c1, c0, n_calib_min=13_000, index=1)
         assert usable.total == 2_000 + 3 * 4_000
 
         with pytest.raises(CalibrationShortfallError, match="cycle 1"):
-            protocol._usable_calibration([c0, c1], 1, n_calib_min=50_000)
+            protocol._usable_calibration(c1, c0, n_calib_min=50_000, index=1)
+
+    def test_one_shot_iterator_matches_list(self, commissioning, small_table):
+        nu = commissioning["distribution"]
+        cfg = RunConfig(k=6, beta=1e-6, G_min=1e18, N_b=500, n_calib_min=20_000, seed=56)
+        cycles, _ = simulate_dataset(nu, cfg, 100, 2, 30_000, 3_000)
+        # cycle 1's own calibration is short: it borrows cycle 0's trailing counts
+        short = simulate_calibration_counts(nu, 15_000, stream_rng(57))
+        cycles[1] = dataclasses.replace(cycles[1], calibration=short)
+        builder = lambda d: pef.build_pef_table(d, 1e-6, 6, j_mid=small_table.j_mid)
+        with pytest.raises(CalibrationShortfallError, match="cycle 0"):
+            accumulate(cycles[1:], cfg, builder)
+        s_list, t_list = accumulate(cycles, cfg, builder)
+        s_iter, t_iter = accumulate(iter(cycles), cfg, builder)
+        assert s_iter == s_list
+        assert np.array_equal(t_iter, t_list)
 
     def test_file_granularity_checks_later(self, sim, small_table):
         nu, records = sim
@@ -458,7 +473,8 @@ def _loop_accumulate(cycles, cfg, builder, stop_on_success):
     rows = []
     per_file = cfg.check_granularity == "file"
     for ci in range(len(cycles)):
-        calib = protocol._usable_calibration(cycles, ci, cfg.n_calib_min)
+        previous = cycles[ci - 1] if ci else None
+        calib = protocol._usable_calibration(cycles[ci], previous, cfg.n_calib_min, ci)
         table = builder(fit_mle(calib))
         tabs = protocol._witness_tables(table)
         for f in cycles[ci].files:
@@ -657,7 +673,7 @@ class TestWireFormats:
 class TestThreadIndependence:
     def test_dataset_identical_across_thread_counts(self, commissioning, tmp_path):
         nu = commissioning["distribution"]
-        # 2.5 chunks: three shards at threads=3, two at threads=2, last one partial
+        # 2.5 chunks, the last one partial; threads is accepted and has no effect
         n_b = 2 * protocol._CHUNK + 2_100
         cfg = RunConfig(k=5, beta=1e-6, G_min=1e18, N_b=n_b, n_calib_min=1, seed=55)
         runs = {t: simulate_dataset(nu, cfg, 1000, 4, 20_000, 2_000, threads=t) for t in (1, 2, 3)}
