@@ -234,7 +234,11 @@ def cmd_accumulate(args) -> int:
     n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
     if not n_blocks:
         raise InputError(f"dataset at {args.data} contains no blocks")
-    k = args.k if args.k is not None else int(manifest["k"])
+    k = args.k
+    if k is None:
+        k = manifest.get("k") if isinstance(manifest, dict) else None
+        if type(k) is not int:  # a bool is not a block length
+            raise InputError(f"{root / 'manifest.json'}: needs an integer \"k\", or pass --k")
     if args.gmin is None or args.beta is None:
         raise InputError("accumulate needs --beta and --gmin")
     cfg = protocol.RunConfig(
@@ -273,12 +277,7 @@ def cmd_accumulate(args) -> int:
 def cmd_extract_params(args) -> int:
     from direx import extractor as ext
 
-    try:
-        params = ext.ExtractorParams.budget(
-            args.m_in, args.sigma_in, args.eps_ext, args.eps
-        )
-    except ext.InfeasibleParameters as e:
-        raise InputError(str(e)) from e
+    params = ext.ExtractorParams.budget(args.m_in, args.sigma_in, args.eps_ext, args.eps)
     obj = json.loads(params.to_json())
     obj["slacks"] = params.constraint_slacks()
     obj["in_set_X"] = (
@@ -436,10 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except _input_errors() as e:
+    except (InputError, *_input_errors()) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -179,6 +179,13 @@ def _ceil_inner(k_out: int, w: int) -> int:
         return int(mpmath.ceil(inner))
 
 
+def _entropy_in_range(sigma_in: float, m_in: int) -> bool:
+    """Whether ``1 <= sigma_in <= m_in``: the input certifies at least one bit
+    and no more than it holds.  With ``m_in`` an int, NaN and the infinities
+    fail."""
+    return 1 <= sigma_in <= m_in
+
+
 def seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
     """Seed bits ``d_s`` and field size prime ``w`` for the extractor.
 
@@ -214,7 +221,13 @@ class ExtractorParams:
     def budget(
         cls, m_in: int, sigma_in: float, eps_ext: float, eps: float
     ) -> "ExtractorParams":
-        """Derive the maximal output budget from the entropy input."""
+        """Derive the maximal output budget from the entropy input.
+
+        Raises :class:`InfeasibleParameters` when ``sigma_in`` lies outside
+        ``[1, m_in]`` or allows no output at ``eps_ext``.
+        """
+        if not _entropy_in_range(sigma_in, m_in):
+            raise InfeasibleParameters(f"sigma_in={sigma_in} must lie in [1, m_in={m_in}]")
         k_out = max_kout(sigma_in, eps_ext)
         d_s, w = seed_length(m_in, k_out, eps_ext)
         return cls(
@@ -241,7 +254,7 @@ class ExtractorParams:
         }
 
     def satisfies_constraints(self) -> bool:
-        if not (1 <= self.sigma_in <= self.m_in):
+        if not _entropy_in_range(self.sigma_in, self.m_in):
             return False
         if not (0 < self.eps_ext <= 1) or self.d_s < 0:
             return False

@@ -147,10 +147,6 @@ class TrialPef:
         return 1.0 + self.beta * self.excess
 
     @classmethod
-    def constant_one(cls, beta: float, q: float) -> "TrialPef":
-        return cls.from_excess(np.zeros((4, 4)), beta, q)
-
-    @classmethod
     def from_excess(cls, excess: np.ndarray, beta: float, q: float) -> "TrialPef":
         return cls(excess=excess, beta=beta, position_q=q)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from direx.extractor import ExtractorParams, InfeasibleParameters, max_kout, seed_length
+from direx.extractor import ExtractorParams, InfeasibleParameters
 from direx.ledger import consumed_bits, expected_trials, experiment_output_length
 from direx.model import ConditionalDistribution, is_member_T
 from direx.pef import block_gain, build_pef_tables
@@ -161,31 +161,16 @@ def _sigma_net_at(
 ) -> tuple[float, dict | None]:
     """Net yield for one (beta, eps_en) candidate; -inf when out of range."""
     g_b, var_b, j_mid = curve.rate(beta)
-    k = curve.k
     sigma_in = N_b * g_b + math.log2(eps_en) / beta + math.log2(eps)
-    eps_ext = eps - eps_en
-    if eps_ext <= 0 or sigma_in <= 1:
-        return -math.inf, None
-    m_in = experiment_output_length(N_b, k)
+    m_in = experiment_output_length(N_b, curve.k)
     try:
-        k_out = max_kout(sigma_in, eps_ext)
-        d_s, w = seed_length(m_in, k_out, eps_ext)
+        params = ExtractorParams.budget(m_in, sigma_in, eps - eps_en, eps)
     except InfeasibleParameters:
         return -math.inf, None
-    if sigma_in > m_in:
-        return -math.inf, None
-    sigma_net = k_out - d_s - consumed_bits(N_b, k)
-    detail = {
-        "sigma_in": sigma_in,
-        "g_b": g_b,
-        "var_b": var_b,
-        "j_mid": j_mid,
-        "extractor": ExtractorParams(
-            m_in=m_in, sigma_in=sigma_in, eps_ext=eps_ext, eps=eps,
-            k_out=k_out, d_s=d_s, w=w,
-        ),
+    sigma_net = params.k_out - params.d_s - consumed_bits(N_b, curve.k)
+    return sigma_net, {
+        "sigma_in": sigma_in, "g_b": g_b, "var_b": var_b, "j_mid": j_mid, "extractor": params
     }
-    return sigma_net, detail
 
 
 def _best_eps_en(curve, beta, N_b, eps):

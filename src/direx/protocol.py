@@ -137,13 +137,6 @@ class BlockRecord:
     spot_settings: int
     spot_outcome: int
 
-    def dense_trials(self) -> list[tuple[int, int]]:
-        """All trials as (settings, outcome) pairs, including implicit ones."""
-        by_pos = dict(self.events)
-        out = [(0, by_pos.get(j, 0)) for j in range(1, self.length)]
-        out.append((self.spot_settings, self.spot_outcome))
-        return out
-
 
 def _spot_codes(settings: np.ndarray, outcome: np.ndarray) -> np.ndarray:
     """``4 * settings + outcome``, or -1 where either is not a pair index."""
@@ -264,6 +257,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.k <= MAX_K:
             raise ValueError(f"k must lie in 0..{MAX_K}, got {self.k}: .blocks files store lengths as u32")
+        if not (math.isfinite(self.beta) and math.isfinite(self.G_min)):
+            raise ValueError(f"beta and G_min must be finite, got {self.beta} and {self.G_min}")
         if self.beta <= 0 or self.N_b <= 0 or self.n_calib_min < 0:
             raise ValueError("beta, N_b must be positive; n_calib_min nonnegative")
         if self.deadtime_trials < 0:

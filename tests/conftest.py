@@ -55,3 +55,17 @@ def random_polytope_point(
 ) -> model.ConditionalDistribution:
     lam = rng.dirichlet(np.ones(len(verts)) * rng.uniform(0.05, 2.0))
     return model.ConditionalDistribution((lam @ verts.vertices).reshape(4, 4))
+
+
+def constant_pef(beta: float, q: float) -> pef.TrialPef:
+    """The constant table ``F = 1``: a PEF for every model and power."""
+    return pef.TrialPef.from_excess(np.zeros((4, 4)), beta, q)
+
+
+def dense_trials(rec) -> list[tuple[int, int]]:
+    """All trials of a block record as (settings, outcome) pairs, the
+    implicit settings-00, outcome-00 trials included."""
+    by_pos = dict(rec.events)
+    out = [(0, by_pos.get(j, 0)) for j in range(1, rec.length)]
+    out.append((rec.spot_settings, rec.spot_outcome))
+    return out

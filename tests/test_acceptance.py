@@ -24,7 +24,14 @@ import pytest
 from direx import model, pef, planner, protocol
 from direx.extractor import ExtractorParams, max_kout, seed_length
 from direx.model import ConditionalDistribution
-from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
+from tests.conftest import (
+    PAPER_BETA,
+    PAPER_J_MID,
+    PAPER_K,
+    constant_pef,
+    dense_trials,
+    random_polytope_point,
+)
 
 REF_G_BLOCK = 36.0558
 REF_VAR_BLOCK = 4.6729e8
@@ -307,7 +314,7 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
     # (b) the constant table is a PEF for every model and power
     for beta in (1e-8, 1e-5, 1e-2, 0.3):
         for q in (1e-5, 1e-2, 0.5, 1.0):
-            assert pef.is_valid_pef(pef.TrialPef.constant_one(beta, q))
+            assert pef.is_valid_pef(constant_pef(beta, q))
 
     # (c) sparse and dense accumulation agree exactly
     rng2 = protocol.stream_rng(5150)
@@ -318,7 +325,7 @@ def test_criterion_10_property_suites(vertices, commissioning, small_table):
         sparse = protocol.block_log2_pef(rec, small_table, tabs)
         dense = sum(
             log2f[j - 1, 4 * s + o]
-            for j, (s, o) in enumerate(rec.dense_trials(), start=1)
+            for j, (s, o) in enumerate(dense_trials(rec), start=1)
         )
         assert sparse == pytest.approx(dense, abs=1e-12)
 

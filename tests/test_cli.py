@@ -208,6 +208,28 @@ class TestExtractParams:
         assert obj["d_s"] == 3_725_074
         assert obj["in_set_X"] is True
 
+    @pytest.mark.parametrize("sigma_in", ["inf", "1e300", "2000", "nan", "0.5"])
+    def test_sigma_in_outside_one_to_m_in_exit_2_with_one_line(self, capsys, sigma_in):
+        code = cli.main(
+            ["extract-params", "--m-in", "1000", "--sigma-in", sigma_in, "--eps-ext", "1e-3"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _k6_dataset(workdir, capsys, name):
+    """A 200-block k=6 dataset under ``workdir``, simulated on first use."""
+    ds = workdir / name
+    if not ds.exists():
+        code, _ = run(
+            capsys, "simulate", workdir / "dist.json", "--k", "6",
+            "--blocks", "200", "--seed", "5", "--out", ds,
+        )
+        assert code == 0
+    return ds
+
 
 class TestSimulateAccumulate:
     def test_roundtrip_matches_in_process(self, workdir, capsys, vertices):
@@ -276,6 +298,33 @@ class TestSimulateAccumulate:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "cycle 0, file 0" in err
+
+    @pytest.mark.parametrize(
+        "manifest", ["[]", '"x"', '{"k": null}', '{"k": 1e400}', '{"k": 6.7}', '{"k": true}']
+    )
+    def test_accumulate_manifest_without_integer_k_exit_2(self, workdir, capsys, manifest):
+        ds = _k6_dataset(workdir, capsys, "k6-manifest")
+        (ds / "manifest.json").write_text(manifest)
+        code = cli.main(["accumulate", str(ds), "--beta", "1e-6", "--gmin", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "manifest.json" in captured.err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--gmin", "nan"), ("--gmin", "inf"), ("--beta", "nan"), ("--beta", "inf")],
+    )
+    def test_accumulate_non_finite_beta_or_gmin_exit_2(self, workdir, capsys, option, value):
+        ds = _k6_dataset(workdir, capsys, "k6-finite")
+        given = {"--beta": "1e-6", "--gmin": "1", option: value}
+        code = cli.main(["accumulate", str(ds), *(a for pair in given.items() for a in pair)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: beta and G_min must be finite, got ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("damage", ["event-outcome-0", "spot-settings-7", "truncated"])
     def test_malformed_blocks_file_exit_2(self, workdir, capsys, damage):

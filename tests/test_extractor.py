@@ -170,6 +170,11 @@ class TestRoundTripFeasibility:
             slacks = params.constraint_slacks()
             assert all(v >= 0 for v in slacks.values())
 
+    @pytest.mark.parametrize("sigma_in", [math.nan, math.inf, -math.inf, 0.5, 1001.0, 1e300])
+    def test_budget_refuses_sigma_in_outside_one_to_m_in(self, sigma_in):
+        with pytest.raises(InfeasibleParameters, match=r"must lie in \[1, m_in=1000\]$"):
+            ExtractorParams.budget(1000, sigma_in, 1e-3, 1.0)
+
     def test_golden_tuple(self):
         params = ExtractorParams.budget(GOLD_M_IN, GOLD_SIGMA_IN, GOLD_EPS_EXT, 5.7e-7)
         assert params.k_out == GOLD_K_OUT

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from direx import _ipm, pef, protocol
 from direx.model import ConditionalDistribution, spot_probability
-from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, random_polytope_point
+from tests.conftest import PAPER_BETA, PAPER_J_MID, PAPER_K, constant_pef, random_polytope_point
 from tests.test_model import json_near
 
 LN2 = math.log(2.0)
@@ -30,7 +30,7 @@ class TestValidity:
     @pytest.mark.parametrize("q", [1e-5, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("beta", [1e-8, 1e-3, 0.2])
     def test_constant_one_is_always_valid(self, q, beta):
-        f = pef.TrialPef.constant_one(beta, q)
+        f = constant_pef(beta, q)
         assert pef.is_valid_pef(f)
 
     def test_scaled_violation_detected(self, commissioning):
@@ -131,7 +131,7 @@ class TestLift:
 
     def test_constant_lift_valid_for_uniform(self):
         q = 0.37
-        lifted = _lifted(pef.TrialPef.constant_one(0.01, q))
+        lifted = _lifted(constant_pef(0.01, q))
         expected = 4.0 * pef._cell_input_weights(q).reshape(4, 4)
         np.testing.assert_allclose(lifted, expected, rtol=1e-15)
         assert pef.is_valid_pef(pef.TrialPef.from_excess((lifted - 1.0) / 0.01, 0.01, 1.0))
@@ -228,7 +228,7 @@ class TestBlockGain:
     def test_all_ones_table_gives_zero(self):
         beta, k = 0.01, 3
         anchors = tuple(
-            pef.TrialPef.constant_one(beta, spot_probability(j, k))
+            constant_pef(beta, spot_probability(j, k))
             for j in (1, 4, 8)
         )
         table = pef.PefTable(k=k, beta=beta, j_mid=4, anchors=anchors)
@@ -393,7 +393,7 @@ class TestSerialization:
 #: a valid k=3 table as ``to_json`` writes it
 _TABLE = json.loads(
     pef.PefTable(
-        3, 0.01, 4, tuple(pef.TrialPef.constant_one(0.01, spot_probability(j, 3)) for j in (1, 4, 8))
+        3, 0.01, 4, tuple(constant_pef(0.01, spot_probability(j, 3)) for j in (1, 4, 8))
     ).to_json()
 )
 

@@ -35,6 +35,7 @@ from direx.protocol import (
     simulate_run_witness,
     stream_rng,
 )
+from tests.conftest import constant_pef, dense_trials
 from tests.test_model import json_near
 
 GOLD_EXTRACTOR = ExtractorParams(
@@ -198,6 +199,15 @@ class TestStreams:
             simulate_run_witness(small_table, commissioning["distribution"], 10, 1, stream)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("name", ["beta", "G_min"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_or_threshold_rejected(self, name, value):
+        given = dict(k=6, beta=1e-6, G_min=1.0, N_b=10, n_calib_min=1, seed=0)
+        with pytest.raises(ValueError, match="^beta and G_min must be finite"):
+            RunConfig(**{**given, name: value})
+
+
 class TestAccounting:
     def test_consumed_bits_production_numbers(self):
         assert consumed_bits(49_977_714, 17) == 949_576_566
@@ -300,7 +310,7 @@ class TestAccumulate:
         cycles = _cycles_from_records(nu, records)
         beta = 1e-6
         anchors = tuple(
-            pef.TrialPef.constant_one(beta, protocol_q)
+            constant_pef(beta, protocol_q)
             for protocol_q in (
                 1.0 / 64,
                 1.0 / (64 - 31),
@@ -335,7 +345,7 @@ class TestAccumulate:
                 sparse = protocol.block_log2_pef(rec, table, tabs)
                 dense = sum(
                     log2f[j - 1, 4 * s + o]
-                    for j, (s, o) in enumerate(rec.dense_trials(), start=1)
+                    for j, (s, o) in enumerate(dense_trials(rec), start=1)
                 )
                 assert sparse == pytest.approx(dense, abs=1e-12)
 
