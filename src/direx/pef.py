@@ -524,6 +524,13 @@ def build_pef_tables(
     built alone; the anchors all searches need next are solved together
     in one batched interior-point call per step.
     """
+    return [table for table, _ in _built_tables(nu_h, betas, k, j_mid, optimize_j_mid, strict)]
+
+
+def _built_tables(nu_h, betas, k, j_mid, optimize_j_mid, strict):
+    """:func:`build_pef_tables`, each table paired with the decimated rate
+    estimate (:func:`_table_gain_estimate`) the middle-anchor search scored
+    it by, or ``None`` when the middle anchor was fixed."""
     if k < 2:
         raise ValueError("table construction needs k >= 2 (a middle anchor must exist)")
     n = 2**k
@@ -551,7 +558,7 @@ def build_pef_tables(
         j_mid = DEFAULT_J_MID_K17
     if j_mid is not None:
         solve({i: [1, n, int(j_mid)] for i in range(len(betas))})
-        return [table(i, int(j_mid)) for i in range(len(betas))]
+        return [(table(i, int(j_mid)), None) for i in range(len(betas))]
 
     scores: list[dict[int, float]] = [{} for _ in betas]
     searches = {i: _j_mid_search(n, scores[i]) for i in range(len(betas))}
@@ -571,4 +578,4 @@ def build_pef_tables(
                 wanted[i] = next(s)
             except StopIteration as done:
                 best[i] = done.value
-    return [table(i, best[i]) for i in range(len(betas))]
+    return [(table(i, best[i]), scores[i][best[i]]) for i in range(len(betas))]

@@ -14,9 +14,11 @@ The search optimises ``beta`` on a log grid with zoom refinement (every
 evaluation is kept for audit) and ``eps_en`` by a nested line search; block
 rates ``g_b(beta)`` are expensive (three PEF optimisations plus a middle-
 anchor line search each) and are cached per distribution and block length.
-Each grid round fills that cache for all its powers with one batched table
-build (:meth:`GainCurve.rates`), whose anchors are solved a search step at
-a time across powers; plans are the same as with one build per power.
+Each grid round builds the tables of all its powers with one batched build
+(:meth:`GainCurve.estimates`), whose anchors are solved a search step at a
+time across powers, and ranks the powers on the middle-anchor search's own
+decimated rate estimate; the full-resolution rate is summed only for the
+leader and its grid neighbours, and the plan is built from it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from direx.extractor import ExtractorParams, InfeasibleParameters
 from direx.ledger import consumed_bits, expected_trials, experiment_output_length
 from direx.model import ConditionalDistribution, is_member_T
-from direx.pef import block_gain, build_pef_tables
+from direx.pef import PefTable, _built_tables, block_gain
 
 __all__ = [
     "PlanResult",
@@ -121,64 +123,73 @@ class PlanResult:
 
 
 class GainCurve:
-    """Cached block rates ``g_b(beta)`` for one distribution and length.
+    """Block rates ``g_b(beta)`` for one distribution and length, exact and
+    estimated.
 
-    Each evaluation builds a PEF table with the middle anchor optimised and
-    returns the full-resolution block rate.  :meth:`rates` builds the
-    tables of all missing powers together, so their anchor solves share
-    batched interior-point calls; :meth:`rate` is the lookup.  Results are
-    memoised on the exact float value of ``beta``, so grid-with-zoom
-    searches and the block bisection share work.
+    Each power gets a PEF table with the middle anchor optimised.
+    :meth:`estimates` builds the tables of all missing powers together, so
+    their anchor solves share batched interior-point calls, and returns the
+    decimated rate estimate the middle-anchor search scored each chosen
+    table by.  :meth:`rate` is exact: the full-resolution block rate of the
+    cached table.  Tables, estimates and rates are memoised on the exact
+    float value of ``beta``, so grid-with-zoom searches and the block
+    bisection share work.
     """
 
     def __init__(self, nu_h: ConditionalDistribution, k: int):
         self.nu_h = nu_h
         self.k = k
+        self._tables: dict[float, tuple[PefTable, float]] = {}
         self._cache: dict[float, tuple[float, float, int]] = {}
 
-    def rate(self, beta: float) -> tuple[float, float, int]:
-        """(g_b bits/block, var_b bits^2/block, j_mid) at this power."""
-        return self.rates([beta])[0]
-
-    def rates(self, betas) -> list[tuple[float, float, int]]:
-        """:meth:`rate` for many powers, building the missing ones together."""
+    def estimates(self, betas) -> list[float]:
+        """Estimated g_b (bits/block) at many powers, building the missing
+        tables together."""
         betas = [float(b) for b in betas]
-        missing = list(dict.fromkeys(b for b in betas if b not in self._cache))
+        missing = list(dict.fromkeys(b for b in betas if b not in self._tables))
         if missing:
             # design sweeps touch extreme powers where certification can be
             # float-limited; anchors stay feasible (hence rates attainable)
-            tables = build_pef_tables(
-                self.nu_h, missing, self.k, optimize_j_mid=True, strict=False
-            )
-            for beta, table in zip(missing, tables):
-                rep = block_gain(table, self.nu_h)
-                self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
-        return [self._cache[b] for b in betas]
+            built = _built_tables(self.nu_h, missing, self.k, None, True, strict=False)
+            self._tables.update(zip(missing, built))
+        return [self._tables[b][1] for b in betas]
+
+    def rate(self, beta: float) -> tuple[float, float, int]:
+        """(g_b bits/block, var_b bits^2/block, j_mid) at this power."""
+        beta = float(beta)
+        if beta not in self._cache:
+            self.estimates([beta])
+            table = self._tables[beta][0]
+            rep = block_gain(table, self.nu_h)
+            self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
+        return self._cache[beta]
+
+    def rates(self, betas) -> list[tuple[float, float, int]]:
+        """:meth:`rate` for many powers, building the missing tables together."""
+        self.estimates(betas)
+        return [self.rate(b) for b in betas]
 
 
 def _sigma_net_at(
-    curve: GainCurve, beta: float, N_b: int, eps: float, eps_en: float
-) -> tuple[float, dict | None]:
-    """Net yield for one (beta, eps_en) candidate; -inf when out of range."""
-    g_b, var_b, j_mid = curve.rate(beta)
+    g_b: float, k: int, beta: float, N_b: int, eps: float, eps_en: float
+) -> tuple[float, ExtractorParams | None]:
+    """Net yield and extractor at block rate ``g_b`` for one (beta, eps_en)
+    candidate; ``(-inf, None)`` when out of range."""
     sigma_in = N_b * g_b + math.log2(eps_en) / beta + math.log2(eps)
-    m_in = experiment_output_length(N_b, curve.k)
+    m_in = experiment_output_length(N_b, k)
     try:
         params = ExtractorParams.budget(m_in, sigma_in, eps - eps_en, eps)
     except InfeasibleParameters:
         return -math.inf, None
-    sigma_net = params.k_out - params.d_s - consumed_bits(N_b, curve.k)
-    return sigma_net, {
-        "sigma_in": sigma_in, "g_b": g_b, "var_b": var_b, "j_mid": j_mid, "extractor": params
-    }
+    return params.k_out - params.d_s - consumed_bits(N_b, k), params
 
 
-def _best_eps_en(curve, beta, N_b, eps):
+def _best_eps_en(g_b, k, beta, N_b, eps):
     """Line search over the error split, log-parameterised on (0, eps)."""
 
     def val(u: float) -> float:
         eps_en = eps * math.exp(-math.exp(u))
-        return _sigma_net_at(curve, beta, N_b, eps, eps_en)[0]
+        return _sigma_net_at(g_b, k, beta, N_b, eps, eps_en)[0]
 
     us = np.linspace(-7.0, 3.0, 30)
     vals = [val(float(u)) for u in us]
@@ -195,21 +206,31 @@ def _best_eps_en(curve, beta, N_b, eps):
             hi = m2
     u = 0.5 * (lo + hi)
     eps_en = eps * math.exp(-math.exp(u))
-    return _sigma_net_at(curve, beta, N_b, eps, eps_en)[0], eps_en
+    return _sigma_net_at(g_b, k, beta, N_b, eps, eps_en)[0], eps_en
 
 
 def _optimize_beta(curve, N_b, eps, evaluations):
+    """Best (sigma_net, beta, eps_en) over the power grid and its zooms.
+
+    Each round ranks its powers on the estimated rate; only the leader and
+    its two grid neighbours, the finalists, are evaluated on the exact rate,
+    and the best exact finalist so far is the centre of the next zoom.
+    """
     grid = np.geomspace(*BETA_BRACKET, BETA_GRID_POINTS)
     step = grid[1] / grid[0]
     best = (-math.inf, None, None)
     for _round in range(1 + BETA_ZOOM_ROUNDS):
-        curve.rates(grid)
-        for b in grid:
-            b = float(b)
-            sn, eps_en = _best_eps_en(curve, b, N_b, eps)
-            evaluations.append((b, sn))
-            if sn > best[0]:
-                best = (sn, b, eps_en)
+        betas = [float(b) for b in grid]
+        found = [
+            _best_eps_en(g_b, curve.k, b, N_b, eps)
+            for g_b, b in zip(curve.estimates(betas), betas)
+        ]
+        lead = int(np.argmax([sn for sn, _ in found]))
+        for i in range(max(0, lead - 1), min(len(betas), lead + 2)):
+            found[i] = _best_eps_en(curve.rate(betas[i])[0], curve.k, betas[i], N_b, eps)
+            if found[i][0] > best[0]:
+                best = (found[i][0], betas[i], found[i][1])
+        evaluations.extend((b, sn) for b, (sn, _) in zip(betas, found))
         if best[1] is None:
             return best
         lo, hi = best[1] / step, best[1] * step
@@ -245,17 +266,18 @@ def expansion_feasible(
     sn, beta, eps_en = _optimize_beta(curve, N_b, eps, plan.evaluations)
     if beta is None:
         return False, plan
-    sigma_net, detail = _sigma_net_at(curve, beta, N_b, eps, eps_en)
+    g_b, var_b, j_mid = curve.rate(beta)
+    sigma_net, extractor = _sigma_net_at(g_b, curve.k, beta, N_b, eps, eps_en)
     plan.beta_opt = beta
     plan.eps_en_opt = eps_en
     plan.sigma_net = sigma_net
     plan.feasible = bool(sigma_net >= 0)
-    if detail is not None:
-        plan.sigma_in = detail["sigma_in"]
-        plan.g_b = detail["g_b"]
-        plan.var_b = detail["var_b"]
-        plan.j_mid = detail["j_mid"]
-        plan.extractor = detail["extractor"]
+    if extractor is not None:
+        plan.sigma_in = extractor.sigma_in
+        plan.g_b = g_b
+        plan.var_b = var_b
+        plan.j_mid = j_mid
+        plan.extractor = extractor
         plan.G_min = threshold_from_sigma(N_b, plan.g_b, plan.var_b, DEFAULT_Z)
         plan.p_succ = success_probability(N_b, plan.g_b, plan.var_b, plan.G_min)
     return plan.feasible, plan

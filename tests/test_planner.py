@@ -93,9 +93,10 @@ class TestFeasibility:
             ok, plan = expansion_feasible(nu, n_b, 4, eps, curve=toy_curve)
             best = -math.inf
             for beta in np.geomspace(1e-9, 1e-5, 60):
+                g_b = toy_curve.rate(beta)[0]
                 for frac in np.linspace(0.05, 0.999, 40):
                     sn, _ = planner._sigma_net_at(
-                        toy_curve, float(beta), n_b, eps, eps * float(frac)
+                        g_b, 4, float(beta), n_b, eps, eps * float(frac)
                     )
                     best = max(best, sn)
             assert ok == (best >= 0)
