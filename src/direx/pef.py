@@ -462,8 +462,12 @@ def _j_mid_search(n: int, scores: dict[int, float]):
 
     Yields the positions whose scores it needs next and reads them from
     ``scores`` once resumed; returns the chosen position.  The grid is
-    log-spaced, then a ternary refinement runs on the bracket of the best
-    grid point, and ties at the end break toward the smaller position.
+    log-spaced, then a Fibonacci (golden-section) refinement runs on the
+    bracket of the best grid point, and ties at the end break toward the
+    smaller position.  The bracket is padded to a Fibonacci length with
+    positions that score ``-inf`` and are never solved, so each step keeps
+    its surviving interior point and asks for one new position (Kiefer,
+    "Sequential minimax search for a maximum", Proc. AMS 4, 1953).
     """
 
     def clamp(jm) -> int:
@@ -478,14 +482,21 @@ def _j_mid_search(n: int, scores: dict[int, float]):
     gi = int(np.searchsorted(grid, best))
     lo = int(grid[max(0, gi - 1)])
     hi = int(grid[min(len(grid) - 1, gi + 1)])
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        yield [clamp(m1), clamp(m2)]
-        if score(m1) < score(m2):
+    fib = [1, 2]
+    while fib[-1] < hi - lo:
+        fib.append(fib[-1] + fib[-2])
+    # [lo, lo + fib[f]] covers the bracket; its interior points are
+    # lo + fib[f - 2] and lo + fib[f - 1]
+    f = len(fib) - 1
+    while f >= 2:
+        m1, m2 = lo + fib[f - 2], lo + fib[f - 1]
+        yield [clamp(m) for m in (m1, m2) if m <= hi]
+        s1 = score(m1) if m1 <= hi else -math.inf
+        s2 = score(m2) if m2 <= hi else -math.inf
+        if s1 < s2:
             lo = m1
-        else:
-            hi = m2
+        f -= 1
+    hi = min(hi, lo + fib[f])
     yield [clamp(jm) for jm in range(lo, hi + 1)]
     return max(range(lo, hi + 1), key=lambda jm: (score(jm), -jm))
 
@@ -501,7 +512,7 @@ def build_pef_table(
     """Optimise anchors and assemble the per-block PEF table.
 
     When ``j_mid`` is given it is used as the middle anchor position.  With
-    ``optimize_j_mid`` a line search (coarse log-spaced grid, then ternary
+    ``optimize_j_mid`` a line search (coarse log-spaced grid, then Fibonacci
     refinement, on a decimated rate estimate) picks the position that
     maximises the interpolated block rate.  Without either, ``k == 17``
     falls back to the production value 53478, other ``k`` run the search.

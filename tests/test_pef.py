@@ -462,8 +462,10 @@ def _former_estimate(table, nu_h, n_samples=2048) -> float:
     return float(np.trapezoid(omega * m_j, pos) / table.beta)
 
 
-def _former_search_table(nu_h, beta, k) -> pef.PefTable:
-    """The former one-power build: anchors solved one by one, no anchor cache."""
+def _former_search_table(nu_h, beta, k) -> tuple[pef.PefTable, list[int]]:
+    """The one-power build written out: anchors solved one by one, no anchor
+    cache, and the Fibonacci bracketing step by step.  Returns the table and
+    the middle-anchor positions the search scored."""
     n = 2**k
 
     def anchor(j):
@@ -488,15 +490,24 @@ def _former_search_table(nu_h, beta, k) -> pef.PefTable:
     gi = int(np.searchsorted(grid, best))
     lo = int(grid[max(0, gi - 1)])
     hi = int(grid[min(len(grid) - 1, gi + 1)])
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if score(m1) < score(m2):
-            lo = m1
-        else:
-            hi = m2
+
+    def padded(jm):  # the bracket padded to a Fibonacci length with -inf
+        return score(jm) if jm <= hi else -math.inf
+
+    # Fibonacci search on [lo, lo + F] with F the least Fibonacci number
+    # (1, 2, 3, 5, ...) >= hi - lo: probes at lo + F'' and lo + F', F = F' + F''
+    small, big = 1, 2
+    while big < hi - lo:
+        small, big = big, small + big
+    width = big
+    while width > 2:
+        upper, lower = small, width - small
+        if padded(lo + lower) < padded(lo + upper):
+            lo += lower
+        width, small = upper, lower
+    hi = min(hi, lo + width)
     best = max(range(lo, hi + 1), key=lambda jm: (score(jm), -jm))
-    return table_at(best)
+    return table_at(best), sorted(cache)
 
 
 def _same_table(a: pef.PefTable, b: pef.PefTable) -> bool:
@@ -507,10 +518,20 @@ def _same_table(a: pef.PefTable, b: pef.PefTable) -> bool:
 
 
 class TestBatchedBuild:
-    def test_search_matches_former_build(self, commissioning):
+    def test_search_matches_former_build(self, commissioning, monkeypatch):
         nu = commissioning["distribution"]
+        scored = []
+        estimate = pef._table_gain_estimate
+        monkeypatch.setattr(
+            pef, "_table_gain_estimate", lambda t, nu_h: scored.append(t.j_mid) or estimate(t, nu_h)
+        )
         got = pef.build_pef_table(nu, 2e-8, 17, optimize_j_mid=True, strict=False)
-        assert _same_table(got, _former_search_table(nu, 2e-8, 17))
+        monkeypatch.undo()
+        want, want_scored = _former_search_table(nu, 2e-8, 17)
+        assert _same_table(got, want)
+        # the same positions, each scored once
+        assert len(scored) == len(set(scored))
+        assert sorted(scored) == want_scored
 
     def test_many_powers_match_one_at_a_time(self, design):
         nu = design["distribution"]
