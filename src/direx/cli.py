@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -177,12 +178,18 @@ def cmd_plan(args) -> int:
     dist = _load(model.ConditionalDistribution, args.distribution)
     files = [Path(args.distribution)]
     if args.k_range:
-        lo, hi = (int(v) for v in args.k_range.split(":"))
-        obj = planner.optimal_block_length(dist, args.eps, range(lo, hi + 1)).to_dict()
+        lo, _, hi = args.k_range.partition(":")
+        try:
+            k_range = range(int(lo), int(hi) + 1)
+        except ValueError:
+            raise InputError(f"--k-range must be LO:HI with integer bounds, got {args.k_range!r}") from None
+        obj = planner.optimal_block_length(dist, args.eps, k_range).to_dict()
     else:
         if args.blocks is not None:
             n_b = args.blocks
         elif args.budget is not None:
+            if not 0.0 < args.budget < math.inf:
+                raise InputError(f"--budget must be a finite number of trials > 0, got {args.budget}")
             n_b = int(args.budget / ledger.expected_trials(1, args.k))
         else:
             raise InputError("plan needs --blocks or --budget")

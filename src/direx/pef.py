@@ -546,6 +546,9 @@ def _built_tables(nu_h, betas, k, j_mid, optimize_j_mid, strict):
         raise ValueError("table construction needs k >= 2 (a middle anchor must exist)")
     n = 2**k
     betas = [float(b) for b in betas]
+    for beta in betas:
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {beta}")
     anchors: list[dict[int, TrialPef]] = [{} for _ in betas]
 
     def solve(wanted: dict[int, list[int]]) -> None:

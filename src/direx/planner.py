@@ -103,7 +103,10 @@ class PlanResult:
     k_opt: int | None = None
     G_min: int | None = None
     p_succ: float | None = None
-    #: every (beta, sigma_net) pair evaluated, for audit
+    #: every (beta, sigma_net) pair of the power search, in grid order round
+    #: by round, for audit.  Each round's finalists (its leader on the
+    #: estimated rate and the leader's two grid neighbours) hold sigma_net at
+    #: the exact rate; every other power holds it at the estimated rate
     evaluations: list[tuple[float, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,16 @@ class TestPefRoundTrip:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if change == "raise":
             assert "anchor 2 fails the PEF inequality" in captured.err
+
+    @pytest.mark.parametrize("beta", ["0", "nan", "inf", "-1e-6"])
+    def test_pef_opt_bad_beta_exit_2_with_one_line(self, workdir, capsys, beta):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["pef-opt", str(workdir / "dist.json"), "--beta", beta, "--k", "4"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == "" and not caught
+        assert captured.err == f"error: beta must be finite and > 0, got {float(beta)}\n"
 
     def test_format_option_is_gone(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -660,6 +671,26 @@ class TestPlan:
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == ""
         assert captured.err == f"error: N_b must be at least 1 block, got {n_b}\n"
+
+    @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-3"])
+    def test_plan_budget_not_finite_positive_exit_2_with_one_line(self, workdir, capsys, budget):
+        code = cli.main(["plan", str(workdir / "dist.json"), "--eps", "1e-3", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --budget must be a finite number of trials > 0, got {float(budget)}\n"
+        )
+
+    @pytest.mark.parametrize("k_range", ["5", "a:b", "4:5:6", "4:", "4.5:6"])
+    def test_plan_k_range_not_lo_hi_exit_2_with_one_line(self, workdir, capsys, k_range):
+        code = cli.main(["plan", str(workdir / "dist.json"), "--eps", "1e-3", "--k-range", k_range])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --k-range must be LO:HI with integer bounds, got {k_range!r}\n"
+        )
 
 
 class TestNumberArguments:

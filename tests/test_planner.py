@@ -135,6 +135,71 @@ class TestFeasibility:
             optimal_block_length(commissioning["distribution"], 1e-3, [])
 
 
+class TestRankedPowerSearch:
+    """The power search ranks each round on the decimated rate estimate and
+    sums only the finalists exactly; here it is checked against the search
+    that sums every grid power of every round.  At k=12 the estimate reads
+    2,048 of the 4,096 positions, so it differs from the exact rate, and
+    ``block_gain`` is cheap enough to run at every power."""
+
+    K = 12
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        # a CHSH source at visibility 0.75: p(ab|xy) = (1 + (-1)^(a^b^xy) 0.75/sqrt 2)/4
+        sign = np.array([[(-1) ** (a ^ b ^ (x & y)) for a in (0, 1) for b in (0, 1)]
+                         for x in (0, 1) for y in (0, 1)])
+        return GainCurve(ConditionalDistribution((1 + sign * 0.75 / math.sqrt(2)) / 4), self.K)
+
+    @staticmethod
+    def exhaustive(curve, N_b, eps):
+        """(beta, eps_en) of the grid-with-zoom search on the exact rate everywhere."""
+        grid = np.geomspace(*planner.BETA_BRACKET, planner.BETA_GRID_POINTS)
+        step = grid[1] / grid[0]
+        best = (-math.inf, None, None)
+        for _ in range(1 + planner.BETA_ZOOM_ROUNDS):
+            for b in map(float, grid):
+                sn, eps_en = planner._best_eps_en(curve.rate(b)[0], curve.k, b, N_b, eps)
+                if sn > best[0]:
+                    best = (sn, b, eps_en)
+            grid = np.geomspace(best[1] / step, best[1] * step, 9)
+            step = grid[1] / grid[0]
+        return best[1:]
+
+    @pytest.mark.parametrize(
+        "N_b, eps",
+        # 19,329 blocks are the least that expand at eps = 1e-3
+        [(19_329, 1e-3), (10**5, 1e-3), (10**6, 1e-6), (10**8, 0.5)],
+    )
+    def test_ranked_search_matches_exhaustive_search(self, curve, N_b, eps):
+        k = curve.k
+        ok, plan = expansion_feasible(curve.nu_h, N_b, k, eps, curve=curve)
+        assert ok
+        if N_b == 19_329:
+            assert plan.sigma_net < 1e-3 * planner.consumed_bits(N_b, k)
+        assert (plan.beta_opt, plan.eps_en_opt) == self.exhaustive(curve, N_b, eps)
+
+        n = planner.BETA_GRID_POINTS
+        rounds = [plan.evaluations[:n], *(
+            plan.evaluations[i : i + 9] for i in range(n, len(plan.evaluations), 9)
+        )]
+        assert len(rounds) == 1 + planner.BETA_ZOOM_ROUNDS
+        estimated_differs = False
+        for entries in rounds:
+            betas = [b for b, _ in entries]
+            est = [
+                planner._best_eps_en(g_b, k, b, N_b, eps)[0]
+                for g_b, b in zip(curve.estimates(betas), betas)
+            ]
+            lead = int(np.argmax(est))
+            for i, (b, sn) in enumerate(entries):
+                exact = planner._best_eps_en(curve.rate(b)[0], k, b, N_b, eps)[0]
+                # finalists hold the exact value, the rest the estimate
+                assert sn == (exact if abs(i - lead) <= 1 else est[i])
+                estimated_differs |= est[i] != exact
+        assert estimated_differs
+
+
 class TestSigmaNetShape:
     def test_monotone_in_extractor_terms(self):
         # direct arithmetic: sigma_net decreases with d_s, increases with k_out
