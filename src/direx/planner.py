@@ -153,7 +153,9 @@ class GainCurve:
         if missing:
             # design sweeps touch extreme powers where certification can be
             # float-limited; anchors stay feasible (hence rates attainable)
-            built = _built_tables(self.nu_h, missing, self.k, None, True, strict=False)
+            built = _built_tables(
+                self.nu_h, missing, self.k, j_mid=None, optimize_j_mid=True, strict=False
+            )
             self._tables.update(zip(missing, built))
         return [self._tables[b][1] for b in betas]
 
