@@ -29,8 +29,9 @@ alone.
 
 :func:`build_pef_tables` builds tables for many powers at once: each power
 runs its own middle-anchor line search, and the anchors all searches need
-at a step are solved in one batched interior-point call, with results
-bit-identical to :func:`build_pef_table` called once per power.
+at a step are solved in one batched interior-point call, with tables
+bit-identical to :func:`build_pef_table` called once per power.  Each table
+comes with the rate estimate its search scored it by.
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def build_pef_table(
     falls back to the production value 53478, other ``k`` run the search.
     This is :func:`build_pef_tables` for one power.
     """
-    return build_pef_tables(nu_h, [beta], k, j_mid, optimize_j_mid, strict)[0]
+    return build_pef_tables(nu_h, [beta], k, j_mid, optimize_j_mid, strict)[0][0]
 
 
 def build_pef_tables(
@@ -528,20 +529,17 @@ def build_pef_tables(
     j_mid: int | None = None,
     optimize_j_mid: bool = False,
     strict: bool = True,
-) -> list[PefTable]:
-    """:func:`build_pef_table` for many powers, one table per power.
+) -> list[tuple[PefTable, float | None]]:
+    """:func:`build_pef_table` for many powers: one ``(table, estimate)``
+    pair per power.
 
-    Every power runs its own middle-anchor search, step for step as if
-    built alone; the anchors all searches need next are solved together
-    in one batched interior-point call per step.
+    ``estimate`` is the decimated rate (:func:`_table_gain_estimate`, exact
+    for ``2^k <= 2048``) the middle-anchor search scored the table by, or
+    ``None`` when the middle anchor was fixed.  Every power runs its own
+    middle-anchor search, step for step as if built alone; the anchors all
+    searches need next are solved together in one batched interior-point
+    call per step.
     """
-    return [table for table, _ in _built_tables(nu_h, betas, k, j_mid, optimize_j_mid, strict)]
-
-
-def _built_tables(nu_h, betas, k, j_mid, optimize_j_mid, strict):
-    """:func:`build_pef_tables`, each table paired with the decimated rate
-    estimate (:func:`_table_gain_estimate`) the middle-anchor search scored
-    it by, or ``None`` when the middle anchor was fixed."""
     if k < 2:
         raise ValueError("table construction needs k >= 2 (a middle anchor must exist)")
     n = 2**k

@@ -19,6 +19,9 @@ Each grid round builds the tables of all its powers with one batched build
 time across powers, and ranks the powers on the middle-anchor search's own
 decimated rate estimate; the full-resolution rate is summed only for the
 leader and its grid neighbours, and the plan is built from it.
+:func:`min_blocks` first checks, on the estimates of the first grid round,
+that some power can out-earn the bits a block consumes, so every table the
+planner builds is one its search reads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from direx.extractor import ExtractorParams, InfeasibleParameters
 from direx.ledger import consumed_bits, expected_trials, experiment_output_length
 from direx.model import ConditionalDistribution, is_member_T
-from direx.pef import PefTable, _built_tables, block_gain
+from direx.pef import block_gain, build_pef_tables
 
 __all__ = [
     "PlanResult",
@@ -134,45 +137,39 @@ class GainCurve:
     their anchor solves share batched interior-point calls, and returns the
     decimated rate estimate the middle-anchor search scored each chosen
     table by.  :meth:`rate` is exact: the full-resolution block rate of the
-    cached table.  Tables, estimates and rates are memoised on the exact
-    float value of ``beta``, so grid-with-zoom searches and the block
-    bisection share work.
+    power's table, summed on first use.  One memo entry per power, keyed on
+    the exact float value of ``beta``, holds the table, its estimate and
+    the exact ``(g_b, var_b)`` once summed, so grid-with-zoom searches and
+    the block bisection share work.
     """
 
     def __init__(self, nu_h: ConditionalDistribution, k: int):
         self.nu_h = nu_h
         self.k = k
-        self._tables: dict[float, tuple[PefTable, float]] = {}
-        self._cache: dict[float, tuple[float, float, int]] = {}
+        #: beta -> [table, estimate, (g_b, var_b) or None until summed]
+        self._memo: dict[float, list] = {}
 
     def estimates(self, betas) -> list[float]:
         """Estimated g_b (bits/block) at many powers, building the missing
         tables together."""
         betas = [float(b) for b in betas]
-        missing = list(dict.fromkeys(b for b in betas if b not in self._tables))
+        missing = list(dict.fromkeys(b for b in betas if b not in self._memo))
         if missing:
             # design sweeps touch extreme powers where certification can be
             # float-limited; anchors stay feasible (hence rates attainable)
-            built = _built_tables(
-                self.nu_h, missing, self.k, j_mid=None, optimize_j_mid=True, strict=False
-            )
-            self._tables.update(zip(missing, built))
-        return [self._tables[b][1] for b in betas]
+            built = build_pef_tables(self.nu_h, missing, self.k, optimize_j_mid=True, strict=False)
+            self._memo.update((b, [table, est, None]) for b, (table, est) in zip(missing, built))
+        return [self._memo[b][1] for b in betas]
 
     def rate(self, beta: float) -> tuple[float, float, int]:
         """(g_b bits/block, var_b bits^2/block, j_mid) at this power."""
         beta = float(beta)
-        if beta not in self._cache:
-            self.estimates([beta])
-            table = self._tables[beta][0]
-            rep = block_gain(table, self.nu_h)
-            self._cache[beta] = (rep.g_block, rep.var_block, table.j_mid)
-        return self._cache[beta]
-
-    def rates(self, betas) -> list[tuple[float, float, int]]:
-        """:meth:`rate` for many powers, building the missing tables together."""
-        self.estimates(betas)
-        return [self.rate(b) for b in betas]
+        self.estimates([beta])
+        entry = self._memo[beta]
+        if entry[2] is None:
+            rep = block_gain(entry[0], self.nu_h)
+            entry[2] = (rep.g_block, rep.var_block)
+        return (*entry[2], entry[0].j_mid)
 
 
 def _sigma_net_at(
@@ -289,9 +286,10 @@ def expansion_feasible(
 
 
 def _asymptotically_feasible(curve: GainCurve, k: int) -> bool:
-    """Expansion needs some power with g_b above the per-block consumption."""
-    probe = np.geomspace(*BETA_BRACKET, 12)
-    return any(g_b > consumed_bits(1, k) for g_b, _, _ in curve.rates(probe))
+    """Expansion needs some power of the first search round whose estimated
+    g_b exceeds the per-block consumption."""
+    grid = np.geomspace(*BETA_BRACKET, BETA_GRID_POINTS)
+    return any(g_b > consumed_bits(1, k) for g_b in curve.estimates(grid))
 
 
 def min_blocks(

@@ -538,14 +538,16 @@ class TestBatchedBuild:
         betas = [1e-9, PAPER_BETA, 3e-6, 1e-9]
         for k in (5, 17):
             many = pef.build_pef_tables(nu, betas, k, optimize_j_mid=True, strict=False)
-            for beta, table in zip(betas, many):
+            for beta, (table, estimate) in zip(betas, many):
                 one = pef.build_pef_table(nu, beta, k, optimize_j_mid=True, strict=False)
                 assert _same_table(table, one)
+                assert estimate == pef._table_gain_estimate(one, nu)
 
     def test_fixed_middle_anchor(self, commissioning, production_table):
         nu = commissioning["distribution"]
-        (got,) = pef.build_pef_tables(nu, [PAPER_BETA], PAPER_K, j_mid=PAPER_J_MID)
+        ((got, estimate),) = pef.build_pef_tables(nu, [PAPER_BETA], PAPER_K, j_mid=PAPER_J_MID)
         assert _same_table(got, production_table)
+        assert estimate is None
 
     def test_excess_at_matches_masked_form(self, production_table):
         t = production_table
@@ -566,6 +568,6 @@ class TestBatchedBuild:
         """Moments summed a run of rows at a time equal the full-array sums bit for bit."""
         nu = design["distribution"]
         betas = [1e-9, PAPER_BETA, 3e-6]
-        for t in pef.build_pef_tables(nu, betas, PAPER_K, j_mid=PAPER_J_MID):
+        for t, _ in pef.build_pef_tables(nu, betas, PAPER_K, j_mid=PAPER_J_MID):
             rep = pef.block_gain(t, nu)
             assert (rep.g_block, rep.var_block) == _former_block_gain(t, nu)

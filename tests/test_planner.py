@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from direx import planner
+from direx import pef, planner
 from direx.model import ConditionalDistribution
 from direx.planner import (
     GainCurve,
@@ -130,6 +130,28 @@ class TestFeasibility:
         plan = optimal_block_length(toy_dist, 1e-3, [4], curves={4: toy_curve})
         assert plan.k_opt == 4
 
+    def test_min_blocks_builds_only_searched_powers(self, toy_dist, monkeypatch):
+        """The feasibility precheck reads the first search round's powers, so
+        every table min_blocks builds is at a power its search evaluates."""
+        built, evaluated = [], []
+        build, feasible = planner.build_pef_tables, planner.expansion_feasible
+
+        def counted(nu_h, betas, *args, **kwargs):
+            built.extend(betas)
+            return build(nu_h, betas, *args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            ok, plan = feasible(*args, **kwargs)
+            evaluated.extend(b for b, _ in plan.evaluations)
+            return ok, plan
+
+        monkeypatch.setattr(planner, "build_pef_tables", counted)
+        monkeypatch.setattr(planner, "expansion_feasible", recorded)
+        min_blocks(toy_dist, 4, 1e-3, curve=GainCurve(toy_dist, 4))
+        grid = np.geomspace(*planner.BETA_BRACKET, planner.BETA_GRID_POINTS)
+        assert built[: planner.BETA_GRID_POINTS] == grid.tolist()
+        assert set(built) == set(evaluated)
+
     def test_optimal_block_length_empty_range(self, commissioning):
         with pytest.raises(ValueError):
             optimal_block_length(commissioning["distribution"], 1e-3, [])
@@ -222,19 +244,36 @@ class TestSigmaNetShape:
         assert round(log2_t_min) == 77
 
 
+@pytest.fixture(scope="module")
+def paper_plan(commissioning):
+    """The plan at the production run's budget: 56,070,910 blocks at k=17, eps 5.7e-7."""
+    return expansion_feasible(commissioning["distribution"], 56_070_910, 17, 5.7e-7)
+
+
 @pytest.mark.slow
 class TestProductionScalePlanning:
     """Planning checks against the production run's published choices."""
 
-    def test_production_parameter_determination(self, commissioning):
-        nu = commissioning["distribution"]
-        ok, plan = expansion_feasible(nu, 56_070_910, 17, 5.7e-7)
+    def test_production_parameter_determination(self, paper_plan):
+        ok, plan = paper_plan
         assert ok
         # the production analysis pinned beta = 4.7614e-8, eps_en = 5.6822e-7
         assert plan.beta_opt == pytest.approx(4.7614e-8, rel=0.15)
         assert plan.eps_en_opt == pytest.approx(5.6822e-7, rel=0.05)
         assert plan.g_b == pytest.approx(36.06, rel=0.05)
         assert plan.sigma_net > 0
+
+    def test_sigma_in_is_the_entropy_certificate(self, paper_plan):
+        """sigma_in is the smooth min-entropy that a witness of N_b * g_b
+        certifies, with error eps_en/eps and success probability eps."""
+        _, plan = paper_plan
+        want = pef.entropy_certificate(
+            plan.beta_opt * plan.N_b * plan.g_b,
+            plan.beta_opt,
+            plan.eps_en_opt / plan.eps,
+            plan.eps,
+        )
+        assert plan.sigma_in == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_weaker_distribution_shifts_toward_longer_blocks(
         self, commissioning, design
