@@ -320,11 +320,16 @@ def cmd_report(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """A parser, and through ``add_subparsers`` every subcommand's, that
     reads ``-1e9`` as a number: argparse before Python 3.13 takes it for an
-    option, and ``--gmin -1e9`` would fail with "expected one argument"."""
+    option, and ``--gmin -1e9`` would fail with "expected one argument".
+    A parse error is one ``error: …`` line, as every other bad input is,
+    without argparse's usage block."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -289,8 +289,8 @@ def check_set_X(params: ExtractorParams, beta: float) -> bool:
     ``eps_ext < eps``, and the entropy cap
     ``sigma_in <= m_in + ((1+beta)/beta) * log2(eps)``.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     if not params.eps_ext < params.eps:
         return False
     if not params.satisfies_constraints():

@@ -84,8 +84,22 @@ _ROWS = 1 << 14
 _ALL_CELLS = np.arange(16)[None]
 
 
+#: powers the PEF arithmetic carries: :func:`block_gain` divides by
+#: ``beta**2``, which overflows or underflows outside this range
+_BETA_RANGE = (1e-150, 1e150)
+
+
 class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
+
+
+def _check_beta(beta: float) -> None:
+    """Refuse, with ``ValueError``, a power outside :data:`_BETA_RANGE`."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    lo, hi = _BETA_RANGE
+    if not lo <= beta <= hi:
+        raise ValueError(f"beta must be in [{lo:g}, {hi:g}], got {beta}")
 
 
 def _cell_input_weights(q) -> np.ndarray:
@@ -134,8 +148,9 @@ class TrialPef:
 
     def __post_init__(self):
         y = np.ascontiguousarray(self.excess, dtype=np.float64)
-        if y.shape != (4, 4) or not 0.0 < self.beta < math.inf:
-            raise ValueError(f"expected a (4, 4) table at a power > 0, got {y.shape}, {self.beta}")
+        if y.shape != (4, 4):
+            raise ValueError(f"expected a (4, 4) table, got {y.shape}")
+        _check_beta(self.beta)
         y.setflags(write=False)
         object.__setattr__(self, "excess", y)
         with np.errstate(over="ignore"):
@@ -545,8 +560,7 @@ def build_pef_tables(
     n = 2**k
     betas = [float(b) for b in betas]
     for beta in betas:
-        if not 0.0 < beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {beta}")
+        _check_beta(beta)
     anchors: list[dict[int, TrialPef]] = [{} for _ in betas]
 
     def solve(wanted: dict[int, list[int]]) -> None:

@@ -84,8 +84,14 @@ class CalibrationShortfallError(RuntimeError):
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for an independent, reproducible stream."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    """Counter-based generator for an independent, reproducible stream.
+
+    The seed enters the key modulo 2^64, as an unsigned integer: a list of
+    Python ints would pass through float64 from 2^63 up, where distinct
+    seeds share a key.
+    """
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 #: a seed's streams lie in disjoint ranges of 2^48: witness runs take theirs

@@ -162,6 +162,9 @@ class TestPefRoundTrip:
                 "anchors_excess": [[0.0] * 16] * 3,
                 "anchor_q": [1.0 / (2**40 - j + 1) for j in (1, 5, 2**40)],
             }),
+            # block_gain divides by beta**2, which underflows or overflows here
+            ("beta-1e-300", {"beta": 1e-300}),
+            ("beta-1e300", {"beta": 1e300}),
         ],
     )
     def test_malformed_or_invalid_table_exit_2_with_one_line(self, workdir, capsys, name, change):
@@ -183,8 +186,10 @@ class TestPefRoundTrip:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if change == "raise":
             assert "anchor 2 fails the PEF inequality" in captured.err
+        if name.startswith("beta-"):
+            assert captured.err == f"error: beta must be in [1e-150, 1e+150], got {change['beta']}\n"
 
-    @pytest.mark.parametrize("beta", ["0", "nan", "inf", "-1e-6"])
+    @pytest.mark.parametrize("beta", ["0", "nan", "inf", "-1e-6", "1e300", "1e-300"])
     def test_pef_opt_bad_beta_exit_2_with_one_line(self, workdir, capsys, beta):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -192,7 +197,8 @@ class TestPefRoundTrip:
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == "" and not caught
-        assert captured.err == f"error: beta must be finite and > 0, got {float(beta)}\n"
+        bound = "finite and > 0" if not 0.0 < float(beta) < math.inf else "in [1e-150, 1e+150]"
+        assert captured.err == f"error: beta must be {bound}, got {float(beta)}\n"
 
     def test_format_option_is_gone(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +224,17 @@ class TestExtractParams:
         assert obj["k_out"] == 1_181_264_237
         assert obj["d_s"] == 3_725_074
         assert obj["in_set_X"] is True
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0"])
+    def test_beta_not_finite_and_positive_exit_2_with_one_line(self, capsys, beta):
+        code = cli.main(
+            ["extract-params", "--m-in", "1000", "--sigma-in", "500", "--eps-ext", "1e-3",
+             "--beta", beta]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: beta must be finite and > 0, got {float(beta)}\n"
 
     @pytest.mark.parametrize("sigma_in", ["inf", "1e300", "2000", "nan", "0.5"])
     def test_sigma_in_outside_one_to_m_in_exit_2_with_one_line(self, capsys, sigma_in):
@@ -336,6 +353,17 @@ class TestSimulateAccumulate:
         assert captured.out == ""
         assert captured.err.startswith("error: beta and G_min must be finite, got ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("beta", ["1e300", "1e-300"])
+    def test_accumulate_extreme_beta_exit_2_with_one_line(self, workdir, capsys, beta):
+        ds = _k6_dataset(workdir, capsys, "k6-extreme")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["accumulate", str(ds), "--beta", beta, "--gmin", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT_ERROR
+        assert captured.out == "" and not caught
+        assert captured.err == f"error: beta must be in [1e-150, 1e+150], got {float(beta)}\n"
 
     @pytest.mark.parametrize("damage", ["event-outcome-0", "spot-settings-7", "truncated"])
     def test_malformed_blocks_file_exit_2(self, workdir, capsys, damage):
@@ -706,6 +734,23 @@ class TestNumberArguments:
             cli.main(["accumulate", "data", "--gmin", "--beta", "1"])
         assert exc.value.code == cli.EXIT_INPUT_ERROR
         assert "argument --gmin: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract-params", "--m-in", "1000", "--sigma-in", "500", "--eps-ext", "1e-3",
+             "--beta", "-inf"],
+            ["rate", "only-one-file"],
+            ["no-such-command"],
+        ],
+    )
+    def test_parse_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestIdempotency:

@@ -214,6 +214,11 @@ class TestSetX:
         )
         assert not check_set_X(bad, beta=4.7614e-8)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_beta_must_be_finite_and_positive(self, beta):
+        with pytest.raises(ValueError, match="^beta must be finite and > 0"):
+            check_set_X(self._gold(), beta=beta)
+
     def test_json_roundtrip(self):
         p = self._gold()
         assert ExtractorParams.from_json(p.to_json()) == p

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,6 +48,23 @@ GOLD_EXTRACTOR = ExtractorParams(
     d_s=3_725_074,
     w=331,
 )
+
+
+class TestStreamRng:
+    #: distinct modulo 2^64, which is how a seed enters the key
+    SEEDS = [-2, -1, 0, 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**63 + 2]
+
+    def test_distinct_seeds_draw_distinct_streams(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {seed: stream_rng(seed, 3).integers(2**63, size=4).tobytes() for seed in self.SEEDS}
+        assert len(set(draws.values())) == len(self.SEEDS)
+
+    def test_seeds_below_2_63_keep_their_keys(self):
+        for seed in (0, 5, 2**62, 2**63 - 1):
+            former = np.random.Generator(np.random.Philox(key=[seed, protocol._CHUNK_STREAMS]))
+            got = stream_rng(seed, protocol._CHUNK_STREAMS)
+            assert got.random(8).tobytes() == former.random(8).tobytes()
 
 
 class TestSimulateBlock:
