@@ -19,9 +19,9 @@ Each grid round builds the tables of all its powers with one batched build
 time across powers, and ranks the powers on the middle-anchor search's own
 decimated rate estimate; the full-resolution rate is summed only for the
 leader and its grid neighbours, and the plan is built from it.
-:func:`min_blocks` first checks, on the estimates of the first grid round,
-that some power can out-earn the bits a block consumes, so every table the
-planner builds is one its search reads.
+:func:`min_blocks` first checks, on every third power of the first grid
+round, that some estimated rate out-earns the bits a block consumes, so a
+block length that passes builds no table its search does not read.
 """
 
 from __future__ import annotations
@@ -286,10 +286,10 @@ def expansion_feasible(
 
 
 def _asymptotically_feasible(curve: GainCurve, k: int) -> bool:
-    """Expansion needs some power of the first search round whose estimated
-    g_b exceeds the per-block consumption."""
-    grid = np.geomspace(*BETA_BRACKET, BETA_GRID_POINTS)
-    return any(g_b > consumed_bits(1, k) for g_b in curve.estimates(grid))
+    """Expansion needs some power, among every third of the first search
+    round, whose estimated g_b exceeds the per-block consumption."""
+    probe = np.geomspace(*BETA_BRACKET, BETA_GRID_POINTS)[::3]
+    return any(g_b > consumed_bits(1, k) for g_b in curve.estimates(probe))
 
 
 def min_blocks(
@@ -303,7 +303,8 @@ def min_blocks(
         curve = GainCurve(nu_h, k)
     if not _asymptotically_feasible(curve, k):
         raise InfeasiblePlan(
-            f"block rate never exceeds the {consumed_bits(1, k)} bits consumed per block at k={k}"
+            f"estimated block rate never exceeds the {consumed_bits(1, k)} bits consumed per block"
+            f" at k={k}"
         )
     lo, hi = 1, None
     n = 1 << 18

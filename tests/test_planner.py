@@ -73,11 +73,31 @@ def toy_curve(toy_dist):
     return GainCurve(toy_dist, k=4)
 
 
+@pytest.fixture
+def asked_powers(monkeypatch) -> list[float]:
+    """Every power passed to ``GainCurve.estimates``, the one place a curve
+    builds tables."""
+    asked = []
+    estimates = GainCurve.estimates
+
+    def recorded(self, betas):
+        asked.extend(float(b) for b in betas)
+        return estimates(self, betas)
+
+    monkeypatch.setattr(GainCurve, "estimates", recorded)
+    return asked
+
+
 class TestFeasibility:
-    def test_local_realistic_never_feasible(self, vertices):
+    def test_local_realistic_never_feasible(self, vertices, asked_powers):
+        """Refused by the precheck, which builds tables only at powers of the
+        first search round, and at no more than a third of them."""
         d = ConditionalDistribution(vertices.lr_vertices[2].reshape(4, 4))
-        with pytest.raises(InfeasiblePlan):
+        with pytest.raises(InfeasiblePlan, match="^estimated block rate never exceeds"):
             min_blocks(d, k=4, eps=1e-3)
+        grid = np.geomspace(*planner.BETA_BRACKET, planner.BETA_GRID_POINTS)
+        assert set(asked_powers) <= set(grid.tolist())
+        assert len(set(asked_powers)) <= -(-planner.BETA_GRID_POINTS // 3)
 
     def test_membership_precondition(self):
         t = np.full((4, 4), 0.25)
@@ -130,27 +150,20 @@ class TestFeasibility:
         plan = optimal_block_length(toy_dist, 1e-3, [4], curves={4: toy_curve})
         assert plan.k_opt == 4
 
-    def test_min_blocks_builds_only_searched_powers(self, toy_dist, monkeypatch):
-        """The feasibility precheck reads the first search round's powers, so
-        every table min_blocks builds is at a power its search evaluates."""
-        built, evaluated = [], []
-        build, feasible = planner.build_pef_tables, planner.expansion_feasible
-
-        def counted(nu_h, betas, *args, **kwargs):
-            built.extend(betas)
-            return build(nu_h, betas, *args, **kwargs)
+    def test_min_blocks_builds_only_searched_powers(self, toy_dist, asked_powers, monkeypatch):
+        """The feasibility precheck reads first-round powers, so every table
+        min_blocks builds is at a power its search evaluates."""
+        evaluated = []
+        feasible = planner.expansion_feasible
 
         def recorded(*args, **kwargs):
             ok, plan = feasible(*args, **kwargs)
             evaluated.extend(b for b, _ in plan.evaluations)
             return ok, plan
 
-        monkeypatch.setattr(planner, "build_pef_tables", counted)
         monkeypatch.setattr(planner, "expansion_feasible", recorded)
         min_blocks(toy_dist, 4, 1e-3, curve=GainCurve(toy_dist, 4))
-        grid = np.geomspace(*planner.BETA_BRACKET, planner.BETA_GRID_POINTS)
-        assert built[: planner.BETA_GRID_POINTS] == grid.tolist()
-        assert set(built) == set(evaluated)
+        assert set(asked_powers) == set(evaluated)
 
     def test_optimal_block_length_empty_range(self, commissioning):
         with pytest.raises(ValueError):
