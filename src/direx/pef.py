@@ -95,8 +95,6 @@ class InvalidRegimeError(ValueError):
 
 def _check_beta(beta: float) -> None:
     """Refuse, with ``ValueError``, a power outside :data:`_BETA_RANGE`."""
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
     lo, hi = _BETA_RANGE
     if not lo <= beta <= hi:
         raise ValueError(f"beta must be in [{lo:g}, {hi:g}], got {beta}")

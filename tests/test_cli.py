@@ -197,8 +197,7 @@ class TestPefRoundTrip:
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == "" and not caught
-        bound = "finite and > 0" if not 0.0 < float(beta) < math.inf else "in [1e-150, 1e+150]"
-        assert captured.err == f"error: beta must be {bound}, got {float(beta)}\n"
+        assert captured.err == f"error: beta must be in [1e-150, 1e+150], got {float(beta)}\n"
 
     def test_format_option_is_gone(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
