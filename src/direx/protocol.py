@@ -8,7 +8,8 @@ spot trial are stored.  In memory a set of blocks is always a
 :class:`Blocks`, five integer columns ``(L, block_of_event, pos, out,
 spot)`` from the sampler through the ``.blocks`` files to the witness
 kernel; its constructor is the one place blocks are validated, so a file
-that decodes to an impossible block is rejected as it is read.
+that decodes to an impossible block is rejected as it is read.  Slices of
+validated blocks are built unchecked.
 :class:`BlockRecord` is a per-block view of those columns, built on demand.
 
 The analysis consumes blocks in time order.  Each cycle of data provides
@@ -149,6 +150,9 @@ def _spot_codes(settings: np.ndarray, outcome: np.ndarray) -> np.ndarray:
     return np.where((settings | outcome) >> 2 == 0, 4 * settings + outcome, -1)
 
 
+_COLUMNS = ("L", "block_of_event", "pos", "out", "spot")
+
+
 @dataclass(frozen=True, eq=False)
 class Blocks:
     """Blocks as int64 columns ``(L, block_of_event, pos, out, spot)``.
@@ -156,9 +160,10 @@ class Blocks:
     Block ``b`` has length ``L[b]`` and spot-check cell ``spot[b] = 4 *
     settings + outcome``; event ``i``, in block order, is a detection with
     outcome ``out[i]`` at position ``pos[i]`` of block ``block_of_event[i]``.
-    The constructor is the only block validator.  Slices are ``Blocks``,
-    ``==`` compares every column and iteration yields :class:`BlockRecord`
-    views.
+    The constructor validates every block.  A contiguous slice of
+    validated blocks is valid by construction, so slices are ``Blocks``
+    built without the checks.  ``==`` compares every column and iteration
+    yields :class:`BlockRecord` views.
     """
 
     L: np.ndarray
@@ -169,11 +174,10 @@ class Blocks:
 
     def __post_init__(self):
         """Raise a one-line ``ValueError`` naming the first bad block."""
-        names = ("L", "block_of_event", "pos", "out", "spot")
-        for name, col in zip(names, self.columns):
+        for name, col in zip(_COLUMNS, self.columns):
             object.__setattr__(self, name, np.asarray(col, np.int64))
         L, boe, pos, out, spot = self.columns
-        if boe.size and (boe[0] < 0 or boe[-1] >= L.size or (np.diff(boe) < 0).any()):
+        if boe.size and (boe[0] < 0 or boe[-1] >= L.size or (boe[1:] < boe[:-1]).any()):
             raise ValueError("block_of_event must be non-decreasing block indices")
         rising = np.ones(pos.size, bool)
         rising[1:] = (boe[1:] != boe[:-1]) | (pos[1:] > pos[:-1])
@@ -217,13 +221,18 @@ class Blocks:
         if step != 1:
             raise ValueError("Blocks slices must be contiguous")
         a, b = np.searchsorted(self.block_of_event, (start, max(start, stop)))
-        return Blocks(
+        boe = self.block_of_event[a:b]
+        cols = (
             self.L[start:stop],
-            self.block_of_event[a:b] - start,
+            boe - start if start else boe,
             self.pos[a:b],
             self.out[a:b],
             self.spot[start:stop],
         )
+        # a run of valid blocks is valid: the slice skips the constructor's checks
+        part = object.__new__(Blocks)
+        part.__dict__.update(zip(_COLUMNS, cols))
+        return part
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Blocks):
@@ -318,17 +327,27 @@ def _sample_blocks(
         mean = (n_trials - 1 - last) * p_det
         gaps = rng.geometric(p_det, size=int(mean + 4 * math.sqrt(mean)) + 16)
         # a gap past the end ends the stream; clipping keeps cumsum in range
-        hits.append(last + np.cumsum(np.minimum(gaps, n_trials + 1)))
-        last = int(hits[-1][-1])
+        np.minimum(gaps, n_trials + 1, out=gaps)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        hits.append(gaps)
+        last = int(gaps[-1])
     t = np.concatenate(hits)
-    t = t[t < n_trials]
-    boe = np.searchsorted(ends, t, side="right")
-    pos = t - (ends - (L - 1))[boe] + 1
+    t = t[: np.searchsorted(t, n_trials)]  # t is strictly increasing
+    counts = np.diff(np.searchsorted(t, ends), prepend=0)
+    boe = np.repeat(np.arange(m), counts)
+    pos = np.repeat(ends - L, counts)
+    np.subtract(t, pos, out=pos)
     u = rng.random(t.size + m)
-    u[: t.size] = cdf[0, 0] + u[: t.size] * p_det
-    rows = np.concatenate((np.zeros(t.size, np.int64), spot_s))
-    out = (u[:, None] >= cdf[rows, :3]).sum(axis=1)
-    return L, boe, pos, out[: t.size], 4 * spot_s + out[t.size :]
+    u_det = u[: t.size]
+    u_det *= p_det
+    u_det += cdf[0, 0]
+    # a CDF row is nondecreasing, so an outcome is the count of its entries <= u
+    out = np.zeros(t.size, np.uint8)
+    for c in cdf[0, :3]:
+        out += u_det >= c
+    spot_out = (u[t.size :, None] >= cdf[spot_s, :3]).sum(axis=1)
+    return L, boe, pos, out.astype(np.int64), 4 * spot_s + spot_out
 
 
 def simulate_block(
@@ -612,8 +631,9 @@ def write_blocks(blocks: Blocks, fh) -> int:
 def read_blocks(fh) -> Blocks:
     """Decode a block stream into validated :class:`Blocks`.
 
-    Only the 6-byte headers are walked in Python; events and spot bytes
-    are gathered with numpy at the offsets the headers give.
+    Only the 6-byte headers are walked in Python.  One byte mask over the
+    stream then clears each block's header and spot bytes; the bytes left
+    are the packed events, in order, and are read as one array.
     """
     data = fh.read()
     heads, at = [], 0
@@ -624,11 +644,15 @@ def read_blocks(fh) -> Blocks:
         raise ValueError("truncated block stream")
     L, counts = np.array(heads, np.int64).reshape(-1, 2).T
     raw = np.frombuffer(data, np.uint8)
-    boe = np.repeat(np.arange(L.size), counts)
-    first = 8 * boe + 5 * np.arange(boe.size) + 6
-    events = raw[first[:, None] + np.arange(5)].view(_EVENT)[:, 0]
     spot_at = 8 * np.arange(L.size) + 5 * np.cumsum(counts) + 6
-    spot = raw[spot_at[:, None] + np.arange(2)].astype(np.int64)
+    head_at = spot_at - 5 * counts - 6
+    spot_bytes = spot_at[:, None] + np.arange(2)
+    keep = np.ones(raw.size, bool)
+    keep[head_at[:, None] + np.arange(6)] = False
+    keep[spot_bytes] = False
+    events = raw[keep].view(_EVENT)
+    spot = raw[spot_bytes].astype(np.int64)
+    boe = np.repeat(np.arange(L.size), counts)
     return Blocks(L, boe, events["pos"], events["out"], _spot_codes(*spot.T))
 
 

@@ -629,6 +629,30 @@ def _decodes_or_rejects(data: bytes) -> None:
     assert buf.getvalue() == data
 
 
+_bounds = st.none() | st.integers(-25, 25)
+
+
+class TestBlocksSlices:
+    @given(_valid_records, _bounds, _bounds, _bounds, _bounds)
+    @settings(max_examples=200, deadline=None)
+    def test_slices_are_valid_blocks(self, records, start, stop, start2, stop2):
+        blocks = Blocks.from_records(records)
+        part = blocks[start:stop]
+        # built unchecked, a slice is what the validating constructor builds
+        assert part == Blocks(*part.columns)
+        assert all(c.dtype == np.int64 for c in part.columns)
+        assert list(part) == records[start:stop]
+        inner = part[start2:stop2]
+        assert inner == Blocks(*inner.columns)
+        assert list(inner) == records[start:stop][start2:stop2]
+
+    @given(_valid_records, st.integers(-4, 4).filter(lambda step: step != 1))
+    @settings(max_examples=50, deadline=None)
+    def test_only_contiguous_slices(self, records, step):
+        with pytest.raises(ValueError):
+            Blocks.from_records(records)[::step]
+
+
 class TestWireFormats:
     @given(_valid_records)
     @settings(max_examples=40, deadline=None)
@@ -665,6 +689,50 @@ class TestWireFormats:
         for cut in (3, 8, 10, len(data) - 1):
             with pytest.raises(ValueError, match="truncated block stream"):
                 protocol.read_blocks(io.BytesIO(data[:cut]))
+
+    def test_empty_stream_is_no_blocks(self):
+        blocks = protocol.read_blocks(io.BytesIO(b""))
+        assert len(blocks) == 0 and not any(c.size for c in blocks.columns)
+        buf = io.BytesIO()
+        assert protocol.write_blocks(blocks, buf) == 0 and buf.getvalue() == b""
+
+    def test_blocks_without_events_roundtrip(self):
+        records = [
+            BlockRecord(length=L, events=(), spot_settings=s, spot_outcome=3 - s)
+            for L, s in ((1, 0), (7, 1), (2**17, 2), (1, 3))
+        ]
+        buf = io.BytesIO()
+        protocol.write_blocks(Blocks.from_records(records), buf)
+        assert len(buf.getvalue()) == 8 * len(records)
+        assert list(protocol.read_blocks(io.BytesIO(buf.getvalue()))) == records
+
+    def test_block_of_u16_max_detections_roundtrips(self):
+        ok = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
+        full = BlockRecord(
+            length=65_536,
+            events=tuple((p, 1 + p % 3) for p in range(1, 65_536)),
+            spot_settings=3,
+            spot_outcome=2,
+        )
+        buf = io.BytesIO()
+        protocol.write_blocks(Blocks.from_records([ok, full, ok]), buf)
+        assert list(protocol.read_blocks(io.BytesIO(buf.getvalue()))) == [ok, full, ok]
+
+    def test_cut_inside_any_block_rejected_with_one_line(self):
+        records = [
+            BlockRecord(length=9, events=((2, 1), (5, 3)), spot_settings=2, spot_outcome=1),
+            BlockRecord(length=4, events=(), spot_settings=0, spot_outcome=3),
+            BlockRecord(length=6, events=((1, 2),), spot_settings=1, spot_outcome=0),
+        ]
+        buf = io.BytesIO()
+        protocol.write_blocks(Blocks.from_records(records), buf)
+        data = buf.getvalue()
+        starts = {0, 18, 26, len(data)}  # where each block begins, and the end
+        for cut in sorted(set(range(len(data))) - starts):
+            with pytest.raises(ValueError, match=r"^truncated block stream$"):
+                protocol.read_blocks(io.BytesIO(data[:cut]))
+        for n, cut in enumerate(sorted(starts)):
+            assert list(protocol.read_blocks(io.BytesIO(data[:cut]))) == records[:n]
 
     def test_block_over_u16_detections_rejected_before_writing(self):
         ok = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
