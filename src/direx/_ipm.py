@@ -300,10 +300,12 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
             for _n in range(100):
                 yv = yp + Z @ u
                 fy = 1.0 + beta * yv
-                gradu = Z.T @ (ws / fy)
-                Hu = (Z.T * (ws / fy**2)) @ Z  # -hessian/beta, SPD
-                du = _spd_solve(Hu, gradu) / beta
-                ndec = float(gradu @ du) * beta
+                # a cell at F = 0 makes the step non-finite; ndec rejects it
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gradu = Z.T @ (ws / fy)
+                    Hu = (Z.T * (ws / fy**2)) @ Z  # -hessian/beta, SPD
+                    du = _spd_solve(Hu, gradu) / beta
+                    ndec = float(gradu @ du) * beta
                 if not np.isfinite(ndec) or ndec <= 0:
                     break
                 step = 1.0

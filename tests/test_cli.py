@@ -199,6 +199,18 @@ class TestPefRoundTrip:
         assert captured.out == "" and not caught
         assert captured.err == f"error: beta must be in [1e-150, 1e+150], got {float(beta)}\n"
 
+    def test_pef_opt_stall_exit_2_with_one_line(self, workdir):
+        # a fresh interpreter, where numpy's warnings would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN, "pef-opt", str(workdir / "dist.json"),
+             "--beta", "1000", "--k", "4"],
+            env=fresh_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: PEF optimisation stalled")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     def test_format_option_is_gone(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pef-opt", str(workdir / "dist.json"), "--beta", "1e-6", "--k", "4",
@@ -786,6 +798,9 @@ class TestRunManifest:
         assert h1 == h2
 
 
+#: run ``direx`` with the arguments
+_MAIN = "import sys; from direx import cli; sys.exit(cli.main(sys.argv[1:]))"
+
 #: run ``direx`` with the arguments after the first, then write the names
 #: of every module the interpreter loaded to the file named first
 _PROBE = """
@@ -798,15 +813,20 @@ sys.exit(code)
 """
 
 
-def loaded_modules(tmp_path, *argv) -> set[str]:
-    """Modules a fresh interpreter has loaded when ``direx *argv`` ends."""
+def fresh_env() -> dict:
+    """This process's environment, with the direx under test first on the path."""
     src = str(Path(direx.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def loaded_modules(tmp_path, *argv) -> set[str]:
+    """Modules a fresh interpreter has loaded when ``direx *argv`` ends."""
     listing = tmp_path / "modules.json"
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, str(listing), *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=fresh_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return set(strict_json(listing.read_text()))
