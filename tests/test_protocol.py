@@ -681,14 +681,21 @@ class TestWireFormats:
         _decodes_or_rejects(bytes(data))
 
     def test_truncated_stream_rejected(self):
-        rec = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
+        records = [
+            BlockRecord(length=9, events=((2, 1), (5, 3)), spot_settings=2, spot_outcome=1),
+            BlockRecord(length=4, events=(), spot_settings=0, spot_outcome=3),
+            BlockRecord(length=6, events=((1, 2),), spot_settings=1, spot_outcome=0),
+        ]
         buf = io.BytesIO()
-        protocol.write_blocks(Blocks.from_records([rec]), buf)
+        protocol.write_blocks(Blocks.from_records(records), buf)
         data = buf.getvalue()
-        # inside the head, inside the event (twice), inside the spot bytes
-        for cut in (3, 8, 10, len(data) - 1):
-            with pytest.raises(ValueError, match="truncated block stream"):
+        starts = {0, 18, 26, len(data)}  # where each block begins, and the end
+        # inside a head, an event or the spot bytes, a cut leaves one line
+        for cut in sorted(set(range(len(data))) - starts):
+            with pytest.raises(ValueError, match=r"^truncated block stream$"):
                 protocol.read_blocks(io.BytesIO(data[:cut]))
+        for n, cut in enumerate(sorted(starts)):
+            assert list(protocol.read_blocks(io.BytesIO(data[:cut]))) == records[:n]
 
     def test_empty_stream_is_no_blocks(self):
         blocks = protocol.read_blocks(io.BytesIO(b""))
@@ -717,22 +724,6 @@ class TestWireFormats:
         buf = io.BytesIO()
         protocol.write_blocks(Blocks.from_records([ok, full, ok]), buf)
         assert list(protocol.read_blocks(io.BytesIO(buf.getvalue()))) == [ok, full, ok]
-
-    def test_cut_inside_any_block_rejected_with_one_line(self):
-        records = [
-            BlockRecord(length=9, events=((2, 1), (5, 3)), spot_settings=2, spot_outcome=1),
-            BlockRecord(length=4, events=(), spot_settings=0, spot_outcome=3),
-            BlockRecord(length=6, events=((1, 2),), spot_settings=1, spot_outcome=0),
-        ]
-        buf = io.BytesIO()
-        protocol.write_blocks(Blocks.from_records(records), buf)
-        data = buf.getvalue()
-        starts = {0, 18, 26, len(data)}  # where each block begins, and the end
-        for cut in sorted(set(range(len(data))) - starts):
-            with pytest.raises(ValueError, match=r"^truncated block stream$"):
-                protocol.read_blocks(io.BytesIO(data[:cut]))
-        for n, cut in enumerate(sorted(starts)):
-            assert list(protocol.read_blocks(io.BytesIO(data[:cut]))) == records[:n]
 
     def test_block_over_u16_detections_rejected_before_writing(self):
         ok = BlockRecord(length=3, events=((1, 2),), spot_settings=1, spot_outcome=0)
