@@ -46,7 +46,7 @@ GAP_FLOOR = 1e-12
 REL_TOL = 1e-7
 
 
-class PefOptimizationError(RuntimeError):
+class PefOptimizationError(ValueError):
     """Solver failed to certify the requested optimality gap.
 
     ``solution`` carries the best deviation vector found, ``rel_gap`` the

@@ -12,7 +12,11 @@ only those: ``extract-params`` and ``report`` need neither numpy nor
 mpmath, and ``simulate`` loads no PEF optimiser or planner.
 
 Exit codes: 0 success, 1 protocol failure (the accumulated witness did not
-reach the threshold), 2 malformed input or unusable parameters.
+reach the threshold), 2 malformed input or unusable parameters.  Every
+layer refuses bad input with a ``ValueError``, the fit, trial-PEF solve,
+calibration and planner stages included, so ``main`` reports any
+``ValueError``, ``KeyError``, ``OSError`` or ``RecursionError`` as one
+``error:`` line and exit 2 without naming a layer.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ EXIT_PROTOCOL_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad file or parameter; reported with exit code 2."""
 
 
@@ -42,8 +46,9 @@ class RunManifest:
     Captures the command, its logical parameters (output destinations and
     ``--threads``, which has no effect, are excluded, so reruns that only
     change where results land hash the same), the input files and the seed
-    when the command consumes one.
-    Every referenced file must exist before execution.
+    when the command consumes one.  It is resolved after the command has
+    read its inputs, so a missing file has already been refused; one that
+    vanishes before :meth:`hash` reads it ends as an ``OSError``.
     """
 
     command: str
@@ -59,9 +64,6 @@ class RunManifest:
             for k, v in vars(args).items()
             if k not in skip and not callable(v)
         }
-        for p in files:
-            if not p.exists():
-                raise InputError(f"input file not found: {p}")
         return cls(
             command=command,
             params=params,
@@ -108,7 +110,7 @@ def _load(cls, path: str):
     text = p.read_text()
     try:
         return cls.from_csv(text) if p.suffix.lower() == ".csv" else cls.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError) as e:
         raise InputError(f"{path}: {e}") from e
 
 
@@ -248,11 +250,13 @@ def cmd_accumulate(args) -> int:
             raise InputError(f"{root / 'manifest.json'}: needs an integer \"k\", or pass --k")
     if args.gmin is None or args.beta is None:
         raise InputError("accumulate needs --beta and --gmin")
+    if args.trace_decimation < 1:
+        raise InputError(f"--trace-decimation must be at least 1, got {args.trace_decimation}")
     cfg = protocol.RunConfig(
         k=k,
         beta=args.beta,
         G_min=args.gmin,
-        N_b=args.blocks or n_blocks,
+        N_b=n_blocks if args.blocks is None else args.blocks,
         n_calib_min=args.n_calib_min,
         seed=0,  # the analysis draws nothing at random
         check_granularity=args.check_granularity,
@@ -419,35 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-#: the bad-input exception of each layer that defines one
-_LAYER_INPUT_ERRORS = {
-    "direx.model": "MleConvergenceError",
-    "direx.pef": "PefOptimizationError",
-    "direx.planner": "InfeasiblePlan",
-    "direx.protocol": "CalibrationShortfallError",
-}
-
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    """Exceptions reported as bad input (exit 2).
-
-    Only layers already imported are consulted: a layer this process never
-    loaded cannot have raised, and looking it up would load it.
-    """
-    layered = tuple(
-        getattr(sys.modules[module], name)
-        for module, name in _LAYER_INPUT_ERRORS.items()
-        if module in sys.modules
-    )
-    return (ValueError, KeyError, OSError, RecursionError, *layered)
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, *_input_errors()) as e:
+    except (ValueError, KeyError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -10,10 +10,11 @@ bits ``d_s`` that costs.  The governing constraints are
                                  / (log2(e) - log2(e - 1))))
 
 with ``w`` the smallest prime above ``2*ceil(log2(4*m_in*k_out^2 /
-eps_ext^2))`` and ``e`` Euler's number.  Both ceilings are taken in float64
-first; an argument within a stated margin of an integer is redone exactly,
-the ratio's in rational arithmetic and the inner term's in high-precision
-floating point with a near-integer guard.
+eps_ext^2))`` and ``e`` Euler's number.  ``eps_ext`` is a binary fraction,
+so the ratio's ceiling is taken exactly in integer arithmetic.  The inner
+term's is taken in float64 first; an argument within a stated margin of an
+integer is redone in high-precision floating point with a near-integer
+guard.
 """
 
 from __future__ import annotations
@@ -75,29 +76,15 @@ def _is_prime(n: int) -> bool:
 
 
 def ceil_log2_fraction(value: Fraction) -> int:
-    """Exact ``ceil(log2(value))`` for a positive rational.
+    """Exact ``ceil(log2(value))`` for a positive rational ``p/q``.
 
-    Uses integer bit lengths to bracket the exponent and integer
-    comparisons to decide ties, so the result is correct even when the
-    true logarithm sits next to an integer.
+    Above 1 it is the least ``c`` with ``ceil(p/q) <= 2^c``; at or below 1
+    it is ``-floor(log2(floor(q/p)))``.  Both are integer bit lengths.
     """
     if value <= 0:
         raise ValueError("value must be positive")
     p, q = value.numerator, value.denominator
-    c = p.bit_length() - q.bit_length() - 1
-    # now verify: smallest c with p/q <= 2^c
-    while not _le_pow2(p, q, c):
-        c += 1
-    while c > 0 and _le_pow2(p, q, c - 1):
-        c -= 1
-    return c
-
-
-def _le_pow2(p: int, q: int, c: int) -> bool:
-    """p/q <= 2^c using integers only."""
-    if c >= 0:
-        return p <= q << c
-    return p << (-c) <= q
+    return ((p - 1) // q).bit_length() if p > q else 1 - (q // p).bit_length()
 
 
 def max_kout(sigma_in: float, eps_ext: float) -> int:
@@ -144,12 +131,9 @@ CEIL_MARGIN = 1e-9
 
 
 def _ceil_log2_ratio(m_in: int, k_out: int, eps_ext: float) -> int:
-    """``ceil(log2(4*m_in*k_out^2/eps_ext^2))``, over rationals near integers."""
-    x = 2.0 + math.log2(m_in) + 2.0 * math.log2(k_out) - 2.0 * math.log2(eps_ext)
-    if abs(x - round(x)) > CEIL_MARGIN:
-        return math.ceil(x)
-    ratio = Fraction(4) * m_in * k_out * k_out / (Fraction(eps_ext) ** 2)
-    return ceil_log2_fraction(ratio)
+    """``ceil(log2(4*m_in*k_out^2/eps_ext^2))`` exactly, with ``eps_ext = n/d``."""
+    n, d = eps_ext.as_integer_ratio()
+    return ceil_log2_fraction(Fraction(4 * m_in * k_out * k_out * d * d, n * n))
 
 
 def _ceil_inner(k_out: int, w: int) -> int:
@@ -190,9 +174,9 @@ def seed_length(m_in: int, k_out: int, eps_ext: float) -> tuple[int, int]:
     """Seed bits ``d_s`` and field size prime ``w`` for the extractor.
 
     ``w`` is the smallest prime above ``2*ceil(log2(4*m_in*k_out^2 /
-    eps_ext^2))``.  Both ceilings are taken in float64 first; an argument
-    within ``CEIL_MARGIN`` of an integer is redone exactly, the first over
-    rationals and the second at 60 significant digits.
+    eps_ext^2))``, taken exactly over the rationals.  The second ceiling is
+    taken in float64 first; an argument within ``CEIL_MARGIN`` of an
+    integer is redone at 60 significant digits.
     """
     if m_in <= 0 or k_out <= 0:
         raise ValueError("m_in and k_out must be positive")

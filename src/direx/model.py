@@ -67,7 +67,7 @@ def pair_index(first: int, second: int) -> int:
     return first + 2 * second
 
 
-class MleConvergenceError(RuntimeError):
+class MleConvergenceError(ValueError):
     """Raised when the likelihood maximiser fails to converge.
 
     Carries the best iterate found so far in ``best`` and the certified

@@ -56,7 +56,7 @@ DEFAULT_Z = 2.5
 BLOCK_CAP = 1 << 40
 
 
-class InfeasiblePlan(RuntimeError):
+class InfeasiblePlan(ValueError):
     """Raised when no parameter choice achieves expansion."""
 
 

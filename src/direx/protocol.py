@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 
-class CalibrationShortfallError(RuntimeError):
+class CalibrationShortfallError(ValueError):
     """A cycle cannot assemble the minimum number of calibration trials."""
 
 
@@ -708,12 +708,15 @@ def load_dataset(path: str | Path) -> tuple[list[CycleData], dict]:
 
 
 def write_trace_csv(trace: np.ndarray, fh, decimation: int = 1) -> None:
-    """Witness trace as CSV rows (block_index, G_run, bits_consumed)."""
+    """Witness trace as CSV rows (block_index, G_run, bits_consumed): every
+    ``decimation``-th row, and the last."""
+    if decimation < 1:
+        raise ValueError(f"decimation must be at least 1, got {decimation}")
     fh.write("block_index,G_run,bits_consumed\n")
     n = trace.shape[0]
-    for i in range(0, n, max(decimation, 1)):
+    for i in range(0, n, decimation):
         bi, g, bits = trace[i]
         fh.write(f"{int(bi)},{float(g)!r},{int(bits)}\n")
-    if n and (n - 1) % max(decimation, 1) != 0:
+    if n and (n - 1) % decimation != 0:
         bi, g, bits = trace[-1]
         fh.write(f"{int(bi)},{float(g)!r},{int(bits)}\n")

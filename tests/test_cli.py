@@ -41,6 +41,17 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
+def refused(capsys, *argv) -> str:
+    """The stderr of ``direx *argv``, checked to be exit 2, no stdout and
+    exactly one ``error:`` line."""
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
 def strict_json(text: str):
     """``text`` parsed as JSON proper, raising on ``NaN`` or ``Infinity``."""
 
@@ -375,6 +386,22 @@ class TestSimulateAccumulate:
         assert code == cli.EXIT_INPUT_ERROR
         assert captured.out == "" and not caught
         assert captured.err == f"error: beta must be in [1e-150, 1e+150], got {float(beta)}\n"
+
+    def test_accumulate_zero_blocks_exit_2_with_one_line(self, workdir, capsys):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        err = refused(capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1", "--blocks", "0")
+        assert "N_b must be positive" in err
+
+    @pytest.mark.parametrize("decimation", ["0", "-4"])
+    def test_accumulate_trace_decimation_below_one_exit_2(self, workdir, capsys, decimation):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        trace = workdir / f"trace-decimation{decimation}.csv"
+        err = refused(
+            capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1",
+            "--trace", trace, "--trace-decimation", decimation,
+        )
+        assert err == f"error: --trace-decimation must be at least 1, got {decimation}\n"
+        assert not trace.exists()
 
     @pytest.mark.parametrize("damage", ["event-outcome-0", "spot-settings-7", "truncated"])
     def test_malformed_blocks_file_exit_2(self, workdir, capsys, damage):
@@ -796,6 +823,57 @@ class TestRunManifest:
         h1 = strict_json(out1)["manifest_hash"]
         h2 = strict_json((workdir / "s.json").read_text())["manifest_hash"]
         assert h1 == h2
+
+
+class TestStageRefusals:
+    """The fit, the trial-PEF solve, each cycle's calibration and the
+    planner's block-length search refuse their input with a ``ValueError``,
+    which ``main`` reports as exit 2 with one line."""
+
+    def test_refusal_classes_are_value_errors(self):
+        from direx import extractor, ledger, model
+
+        for cls in (
+            model.MleConvergenceError,
+            pef.PefOptimizationError,
+            protocol.CalibrationShortfallError,
+            planner.InfeasiblePlan,
+            extractor.InfeasibleParameters,
+            pef.InvalidRegimeError,
+        ):
+            assert issubclass(cls, ValueError), cls
+        # a missed threshold is exit 1, not bad input
+        assert not issubclass(ledger.ProtocolFailure, ValueError)
+
+    def test_mle_convergence_exit_2(self, workdir, capsys, monkeypatch):
+        from direx import model
+
+        # a PR box: every setting pair wins CHSH, outside the quantum set
+        c = np.zeros((4, 4), dtype=np.int64)
+        for x, y in model.PAIR_ORDER:
+            for a, b in model.PAIR_ORDER:
+                if a ^ b == x & y:
+                    c[model.pair_index(x, y), model.pair_index(a, b)] = 50
+        (workdir / "pr-box.json").write_text(model.CountsTable(c).to_json())
+        monkeypatch.setattr(model, "MAX_NEWTON_STEPS", 0)
+        err = refused(capsys, "fit", workdir / "pr-box.json")
+        assert err.startswith("error: likelihood maximisation stalled with relative gap ")
+
+    def test_calibration_shortfall_exit_2(self, workdir, capsys):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        err = refused(
+            capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1",
+            "--n-calib-min", "1000000000",
+        )
+        assert err.startswith("error: cycle 0: only ")
+        assert err.endswith(" calibration trials available, need 1000000000\n")
+
+    def test_infeasible_plan_exit_2(self, workdir, capsys, vertices):
+        idx = int(np.flatnonzero(vertices.deterministic_mask)[0])
+        d = ConditionalDistribution(vertices.vertices[idx].reshape(4, 4))
+        (workdir / "local.json").write_text(d.to_json())
+        err = refused(capsys, "plan", workdir / "local.json", "--eps", "1e-3", "--k-range", "4:4")
+        assert err == "error: no feasible block length in [4]\n"
 
 
 #: run ``direx`` with the arguments

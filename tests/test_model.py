@@ -303,7 +303,7 @@ class TestMle:
     def test_empty_setting_rejected(self):
         c = np.zeros((4, 4), dtype=np.int64)
         c[0, 0] = 10
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs at least one count"):
             fit_mle(CountsTable(c))
 
     def test_iteration_cap_raises_with_best_iterate(self, commissioning, monkeypatch):

@@ -102,7 +102,7 @@ class TestFeasibility:
     def test_membership_precondition(self):
         t = np.full((4, 4), 0.25)
         t[0] = [0.4, 0.1, 0.4, 0.1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the trial polytope"):
             expansion_feasible(ConditionalDistribution(t), 1000, 4, 1e-3)
 
     def test_toy_flag_matches_dense_grid(self, toy_dist, toy_curve):
@@ -166,7 +166,7 @@ class TestFeasibility:
         assert set(asked_powers) == set(evaluated)
 
     def test_optimal_block_length_empty_range(self, commissioning):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k_range must be nonempty"):
             optimal_block_length(commissioning["distribution"], 1e-3, [])
 
 

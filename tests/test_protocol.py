@@ -481,7 +481,7 @@ class TestAccumulate:
         nu, records = sim
         cfg = RunConfig(k=6, beta=2e-6, G_min=1.0, N_b=10, n_calib_min=1, seed=0)
         cycles = _cycles_from_records(nu, records[:10])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match the run configuration"):
             accumulate(cycles, cfg, lambda d: small_table)
 
 
@@ -755,6 +755,13 @@ class TestWireFormats:
         assert lines[0] == "block_index,G_run,bits_consumed"
         assert lines[1].startswith("1,")
         assert lines[-1].startswith("4,")  # final row always present
+
+    @pytest.mark.parametrize("decimation", [0, -4])
+    def test_trace_csv_refuses_decimation_below_one(self, decimation):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="decimation must be at least 1"):
+            protocol.write_trace_csv(np.array([[1, 0.5, 8]]), buf, decimation=decimation)
+        assert buf.getvalue() == ""
 
 
 class TestThreadIndependence:
