@@ -81,9 +81,9 @@ def ceil_log2_fraction(value: Fraction) -> int:
     Above 1 it is the least ``c`` with ``ceil(p/q) <= 2^c``; at or below 1
     it is ``-floor(log2(floor(q/p)))``.  Both are integer bit lengths.
     """
-    if value <= 0:
-        raise ValueError("value must be positive")
     p, q = value.numerator, value.denominator
+    if p <= 0:  # q is positive
+        raise ValueError("value must be positive")
     return ((p - 1) // q).bit_length() if p > q else 1 - (q // p).bit_length()
 
 
