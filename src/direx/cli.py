@@ -7,6 +7,15 @@ Subcommands mirror the library: ``fit``, ``strength``, ``pef-opt``,
 All numeric output is deterministic given the seed; every result carries a
 hash of the fully resolved inputs so reruns can be checked for identity.
 
+Each ``cmd_*`` function computes and returns its result; ``main`` alone
+writes it.  ``main`` opens ``--output`` before the command runs (and
+``accumulate`` its ``--trace``, after checking its options and before
+reading a block), so an unwritable destination costs no work.  Once the
+result exists, ``main`` adds ``manifest_hash`` (and ``seed``), hashing the
+inputs once, and writes it.  A run that fails, or writes nothing as
+``report``'s exit 1 does, removes a file it created and leaves an existing
+one as it was.
+
 Each command imports the layers it runs when it runs, so a process loads
 only those: ``extract-params`` and ``report`` need neither numpy nor
 mpmath, and ``simulate`` loads no PEF optimiser or planner.
@@ -16,18 +25,23 @@ reach the threshold), 2 malformed input or unusable parameters.  Every
 layer refuses bad input with a ``ValueError``, the fit, trial-PEF solve,
 calibration and planner stages included, so ``main`` reports any
 ``ValueError``, ``KeyError``, ``OSError`` or ``RecursionError`` as one
-``error:`` line and exit 2 without naming a layer.
+``error:`` line and exit 2 without naming a layer; a ``MemoryError`` (a
+``k`` near ``model.MAX_K`` asks for arrays of ``2**k`` positions) is one
+``error: out of memory`` line, with numpy's message when there is one,
+and exit 2 too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 EXIT_OK = 0
@@ -39,66 +53,70 @@ class InputError(ValueError):
     """Bad file or parameter; reported with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved description of one command invocation.
+def _stamp(args) -> dict:
+    """``manifest_hash``, and ``seed`` when the command takes one.
 
-    Captures the command, its logical parameters (output destinations and
-    ``--threads``, which has no effect, are excluded, so reruns that only
-    change where results land hash the same), the input files and the seed
-    when the command consumes one.  It is resolved after the command has
-    read its inputs, so a missing file has already been refused; one that
-    vanishes before :meth:`hash` reads it ends as an ``OSError``.
+    The hash covers the command, its logical parameters and the name and
+    SHA-256 of each input file that the subcommand's ``inputs`` lists (a
+    callable, so no parameter).  Destinations and ``--threads``, which has
+    no effect, are left out, so reruns that only change where results land
+    hash the same.  It runs after the command has read its inputs, so a
+    missing file has already been refused; one that vanishes before it is
+    hashed ends as an ``OSError``.
     """
-
-    command: str
-    params: dict
-    files: tuple[Path, ...]
-    seed: int | None = None
-
-    @classmethod
-    def resolve(cls, command: str, args, files: list[Path]) -> "RunManifest":
-        skip = {"func", "output", "out", "trace", "command", "threads"}
-        params = {
-            k: str(v)
-            for k, v in vars(args).items()
-            if k not in skip and not callable(v)
-        }
-        return cls(
-            command=command,
-            params=params,
-            files=tuple(files),
-            seed=getattr(args, "seed", None),
-        )
-
-    def hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.command.encode())
-        h.update(json.dumps(self.params, sort_keys=True).encode())
-        for p in self.files:
-            h.update(p.name.encode())
-            digest = hashlib.sha256()
-            with open(p, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 16), b""):
-                    digest.update(chunk)
-            h.update(digest.digest())
-        return h.hexdigest()[:16]
-
-    def stamp(self, obj: dict) -> dict:
-        """Attach the hash (and seed, when present) to an output object."""
-        obj["manifest_hash"] = self.hash()
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        return obj
+    skip = {"func", "output", "out", "trace", "command", "threads"}
+    params = {k: str(v) for k, v in vars(args).items() if k not in skip and not callable(v)}
+    h = hashlib.sha256()
+    h.update(args.command.encode())
+    h.update(json.dumps(params, sort_keys=True).encode())
+    for p in map(Path, args.inputs(args)):
+        h.update(p.name.encode())
+        digest = hashlib.sha256()
+        with open(p, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(chunk)
+        h.update(digest.digest())
+    stamp = {"manifest_hash": h.hexdigest()[:16]}
+    if getattr(args, "seed", None) is not None:
+        stamp["seed"] = args.seed
+    return stamp
 
 
+@contextlib.contextmanager
+def _destination(path, default=None):
+    """The file at ``path`` opened for writing before the work that fills
+    it, so that an unwritable destination is refused first; ``default``
+    when there is no path.  The file is not truncated: the body writes from
+    its start once its result exists.  If the body raises or writes
+    nothing, a file opened here is removed and an existing one keeps its
+    bytes."""
+    if not path:
+        yield default
+        return
+    created = not os.path.exists(path)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+        if fh.seekable() and fh.tell():  # a pipe or terminal has nothing to cut
+            fh.truncate()
+        elif created:
+            os.unlink(path)
 
-def _emit(obj: dict, args) -> None:
-    out = json.dumps(obj, indent=1)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(out + "\n")
-    else:
-        print(out)
+
+def _dataset_files(args) -> list[Path]:
+    """A dataset's manifest, then each cycle's calibration and expansion
+    files in reading order."""
+    from direx import protocol
+
+    root = Path(args.data)
+    files = [root / "manifest.json"]
+    for calib, pairs in protocol.dataset_layout(root):
+        files += [calib, *(p for pair in pairs for p in pair)]
+    return files
 
 
 def _load(cls, path: str):
@@ -115,9 +133,13 @@ def _load(cls, path: str):
 
 
 # --- subcommand implementations --------------------------------------------
+#
+# Each takes the parsed arguments and ``stamp``, which hashes the run once
+# (see :func:`_stamp`), and returns ``(result, exit code)``: ``main`` stamps
+# and writes the result, or nothing when it is ``None``.
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, stamp):
     from direx import model
 
     counts = _load(model.CountsTable, args.counts)
@@ -125,22 +147,18 @@ def cmd_fit(args) -> int:
     obj = json.loads(dist.to_json())
     obj["log_likelihood"] = model.log_likelihood(counts, dist)
     obj["mle_rel_gap"] = rel_gap
-    RunManifest.resolve("fit", args, [Path(args.counts)]).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+    return obj, EXIT_OK
 
 
-def cmd_strength(args) -> int:
+def cmd_strength(args, stamp):
     from direx import model
 
     dist = _load(model.ConditionalDistribution, args.distribution)
     s, rel_gap = model._statistical_strength(dist)
-    manifest = RunManifest.resolve("strength", args, [Path(args.distribution)])
-    _emit(manifest.stamp({"statistical_strength_bits": s, "strength_rel_gap": rel_gap}), args)
-    return EXIT_OK
+    return {"statistical_strength_bits": s, "strength_rel_gap": rel_gap}, EXIT_OK
 
 
-def cmd_pef_opt(args) -> int:
+def cmd_pef_opt(args, stamp):
     from direx import model, pef
 
     dist = _load(model.ConditionalDistribution, args.distribution)
@@ -151,13 +169,10 @@ def cmd_pef_opt(args) -> int:
         j_mid=args.j_mid,
         optimize_j_mid=args.optimize_j_mid,
     )
-    obj = json.loads(table.to_json())
-    RunManifest.resolve("pef-opt", args, [Path(args.distribution)]).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+    return json.loads(table.to_json()), EXIT_OK
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args, stamp):
     from direx import model, pef
 
     table = pef.PefTable.from_json(Path(args.pef).read_text())
@@ -165,44 +180,33 @@ def cmd_rate(args) -> int:
         if not pef.is_valid_pef(a):
             raise InputError(f"{args.pef}: anchor {i} fails the PEF inequality")
     dist = _load(model.ConditionalDistribution, args.distribution)
-    rep = pef.block_gain(table, dist)
-    obj = json.loads(rep.to_json())
-    RunManifest.resolve(
-        "rate", args, [Path(args.pef), Path(args.distribution)]
-    ).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+    return json.loads(pef.block_gain(table, dist).to_json()), EXIT_OK
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args, stamp):
     from direx import ledger, model, planner
 
     dist = _load(model.ConditionalDistribution, args.distribution)
-    files = [Path(args.distribution)]
     if args.k_range:
         lo, _, hi = args.k_range.partition(":")
         try:
             k_range = range(int(lo), int(hi) + 1)
         except ValueError:
             raise InputError(f"--k-range must be LO:HI with integer bounds, got {args.k_range!r}") from None
-        obj = planner.optimal_block_length(dist, args.eps, k_range).to_dict()
+        return planner.optimal_block_length(dist, args.eps, k_range).to_dict(), EXIT_OK
+    if args.blocks is not None:
+        n_b = args.blocks
+    elif args.budget is not None:
+        if not 0.0 < args.budget < math.inf:
+            raise InputError(f"--budget must be a finite number of trials > 0, got {args.budget}")
+        n_b = int(args.budget / ledger.expected_trials(1, args.k))
     else:
-        if args.blocks is not None:
-            n_b = args.blocks
-        elif args.budget is not None:
-            if not 0.0 < args.budget < math.inf:
-                raise InputError(f"--budget must be a finite number of trials > 0, got {args.budget}")
-            n_b = int(args.budget / ledger.expected_trials(1, args.k))
-        else:
-            raise InputError("plan needs --blocks or --budget")
-        feasible, plan = planner.expansion_feasible(dist, n_b, args.k, args.eps)
-        obj = plan.to_dict()
-    RunManifest.resolve("plan", args, files).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+        raise InputError("plan needs --blocks or --budget")
+    _, plan = planner.expansion_feasible(dist, n_b, args.k, args.eps)
+    return plan.to_dict(), EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, stamp):
     from direx import model, protocol
 
     dist = _load(model.ConditionalDistribution, args.distribution)
@@ -224,27 +228,22 @@ def cmd_simulate(args) -> int:
         calib_trials=args.calib_trials,
         trailing_calib_trials=args.trailing_calib_trials,
     )
-    # the hash and seed, computed once for the dataset's manifest and stdout
-    stamp = RunManifest.resolve("simulate", args, [Path(args.distribution)]).stamp({})
     meta = {"k": args.k, "n_blocks": summary["n_blocks"], "distribution": str(args.distribution)}
-    protocol.write_dataset(cycles, args.out, {**meta, **stamp})
+    protocol.write_dataset(cycles, args.out, {**meta, **stamp()})
     summary["out"] = str(args.out)
-    _emit({**summary, **stamp}, args)
-    return EXIT_OK
+    return summary, EXIT_OK
 
 
-def cmd_accumulate(args) -> int:
+def cmd_accumulate(args, stamp):
     from direx import pef, protocol
 
+    # every option is checked, and the trace opened, before any block is read
     root = Path(args.data)
     if not root.is_dir() or not (root / "manifest.json").exists():
         raise InputError(f"not a dataset directory: {args.data}")
-    cycles, manifest = protocol.load_dataset(root)
-    n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
-    if not n_blocks:
-        raise InputError(f"dataset at {args.data} contains no blocks")
     k = args.k
     if k is None:
+        manifest = json.loads((root / "manifest.json").read_text())
         k = manifest.get("k") if isinstance(manifest, dict) else None
         if type(k) is not int:  # a bool is not a block length
             raise InputError(f"{root / 'manifest.json'}: needs an integer \"k\", or pass --k")
@@ -252,40 +251,39 @@ def cmd_accumulate(args) -> int:
         raise InputError("accumulate needs --beta and --gmin")
     if args.trace_decimation < 1:
         raise InputError(f"--trace-decimation must be at least 1, got {args.trace_decimation}")
-    cfg = protocol.RunConfig(
-        k=k,
-        beta=args.beta,
-        G_min=args.gmin,
-        N_b=n_blocks if args.blocks is None else args.blocks,
-        n_calib_min=args.n_calib_min,
-        seed=0,  # the analysis draws nothing at random
-        check_granularity=args.check_granularity,
-    )
+    with _destination(args.trace) as trace_fh:
+        cycles, _ = protocol.load_dataset(root)
+        n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
+        if not n_blocks:
+            raise InputError(f"dataset at {args.data} contains no blocks")
+        cfg = protocol.RunConfig(
+            k=k,
+            beta=args.beta,
+            G_min=args.gmin,
+            N_b=n_blocks if args.blocks is None else args.blocks,
+            n_calib_min=args.n_calib_min,
+            seed=0,  # the analysis draws nothing at random
+            check_granularity=args.check_granularity,
+        )
 
-    j_mid = args.j_mid
+        j_mid = args.j_mid
 
-    def builder(nu_h):
-        # the first cycle's build settles j_mid; later cycles reuse it
-        nonlocal j_mid
-        table = pef.build_pef_table(nu_h, cfg.beta, k, j_mid=j_mid)
-        j_mid = table.j_mid
-        return table
+        def builder(nu_h):
+            # the first cycle's build settles j_mid; later cycles reuse it
+            nonlocal j_mid
+            table = pef.build_pef_table(nu_h, cfg.beta, k, j_mid=j_mid)
+            j_mid = table.j_mid
+            return table
 
-    state, trace = protocol.accumulate(cycles, cfg, builder)
-    obj = state.to_dict()
-    files = [root / "manifest.json"]
-    for calib, pairs in protocol.dataset_layout(root):
-        files += [calib, *(p for pair in pairs for p in pair)]
-    RunManifest.resolve("accumulate", args, files).stamp(obj)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            protocol.write_trace_csv(trace, fh, decimation=args.trace_decimation)
-        obj["trace"] = str(args.trace)
-    _emit(obj, args)
-    return EXIT_OK if state.succeeded else EXIT_PROTOCOL_FAILURE
+        state, trace = protocol.accumulate(cycles, cfg, builder)
+        obj = {**state.to_dict(), **stamp()}  # the trace key follows the hash
+        if trace_fh:
+            protocol.write_trace_csv(trace, trace_fh, decimation=args.trace_decimation)
+            obj["trace"] = str(args.trace)
+    return obj, EXIT_OK if state.succeeded else EXIT_PROTOCOL_FAILURE
 
 
-def cmd_extract_params(args) -> int:
+def cmd_extract_params(args, stamp):
     from direx import extractor as ext
 
     params = ext.ExtractorParams.budget(args.m_in, args.sigma_in, args.eps_ext, args.eps)
@@ -294,12 +292,10 @@ def cmd_extract_params(args) -> int:
     obj["in_set_X"] = (
         ext.check_set_X(params, args.beta) if args.beta is not None else None
     )
-    RunManifest.resolve("extract-params", args, []).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+    return obj, EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, stamp):
     from direx import extractor as ext
     from direx import ledger
 
@@ -309,13 +305,8 @@ def cmd_report(args) -> int:
         rep = ledger.expansion_summary(state, params, args.k)
     except ledger.ProtocolFailure as e:
         print(str(e), file=sys.stderr)
-        return EXIT_PROTOCOL_FAILURE
-    obj = json.loads(rep.to_json())
-    RunManifest.resolve(
-        "report", args, [Path(args.state), Path(args.extractor)]
-    ).stamp(obj)
-    _emit(obj, args)
-    return EXIT_OK
+        return None, EXIT_PROTOCOL_FAILURE
+    return json.loads(rep.to_json()), EXIT_OK
 
 
 # --- parser -----------------------------------------------------------------
@@ -350,11 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("fit", help="maximum-likelihood distribution from counts")
     p.add_argument("counts")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, inputs=lambda a: [a.counts])
 
     p = add_parser("strength", help="statistical strength of a distribution")
     p.add_argument("distribution")
-    p.set_defaults(func=cmd_strength)
+    p.set_defaults(func=cmd_strength, inputs=lambda a: [a.distribution])
 
     p = add_parser("pef-opt", help="optimise a per-block PEF table")
     p.add_argument("distribution")
@@ -362,12 +353,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j-mid", type=int, default=None)
     p.add_argument("--optimize-j-mid", action="store_true")
-    p.set_defaults(func=cmd_pef_opt)
+    p.set_defaults(func=cmd_pef_opt, inputs=lambda a: [a.distribution])
 
     p = add_parser("rate", help="block rate and variance of a PEF table")
     p.add_argument("pef")
     p.add_argument("distribution")
-    p.set_defaults(func=cmd_rate)
+    p.set_defaults(func=cmd_rate, inputs=lambda a: [a.pef, a.distribution])
 
     p = add_parser("plan", help="expansion feasibility and design tables")
     p.add_argument("distribution")
@@ -376,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int)
     p.add_argument("--budget", type=float, help="trial budget instead of --blocks")
     p.add_argument("--k-range", help="sweep k, e.g. 15:19")
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, inputs=lambda a: [a.distribution])
 
     p = add_parser("simulate", help="simulate an honest dataset to disk")
     p.add_argument("distribution")
@@ -390,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trailing-calib-trials", type=int, default=10_000)
     p.add_argument("--deadtime", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, inputs=lambda a: [a.distribution])
 
     p = add_parser("accumulate", help="run the witness accumulation analysis")
     p.add_argument("data")
@@ -404,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the witness trace CSV here")
     p.add_argument("--trace-decimation", type=int, default=1)
     p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
-    p.set_defaults(func=cmd_accumulate)
+    p.set_defaults(func=cmd_accumulate, inputs=_dataset_files)
 
     p = add_parser("extract-params", help="extractor seed/output budget")
     p.add_argument("--m-in", type=int, required=True)
@@ -412,13 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-ext", type=float, required=True)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--beta", type=float)
-    p.set_defaults(func=cmd_extract_params)
+    p.set_defaults(func=cmd_extract_params, inputs=lambda a: [])
 
     p = add_parser("report", help="expansion accounting of a finished run")
     p.add_argument("state", help="accumulator state JSON")
     p.add_argument("extractor", help="extractor params JSON")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, inputs=lambda a: [a.state, a.extractor])
 
     return ap
 
@@ -426,11 +417,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    stamp = functools.cache(lambda: _stamp(args))
     try:
-        return args.func(args)
+        with _destination(args.output, sys.stdout) as out:
+            obj, code = args.func(args, stamp)
+            if obj is not None:
+                out.write(json.dumps({**obj, **stamp()}, indent=1) + "\n")
+        return code
     except (ValueError, KeyError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except MemoryError as e:  # a bare MemoryError has no message
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

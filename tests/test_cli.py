@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,10 @@ def refused(capsys, *argv) -> str:
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     return captured.err
+
+
+#: a k=4 PEF table whose three anchors are the constant 1, written out by hand
+ONES_TABLE = json.dumps({"k": 4, "beta": 1e-6, "j_mid": 9, "anchors": [[1.0] * 16] * 3})
 
 
 def strict_json(text: str):
@@ -763,7 +768,7 @@ class TestNumberArguments:
     @pytest.mark.parametrize("text, value", [("-1e9", -1e9), ("-1.5E+3", -1500.0)])
     def test_gmin_takes_negative_exponent_numbers(self, monkeypatch, text, value):
         seen = []
-        monkeypatch.setattr(cli, "cmd_accumulate", lambda args: seen.append(args.gmin) or 0)
+        monkeypatch.setattr(cli, "cmd_accumulate", lambda args, stamp: seen.append(args.gmin) or (None, 0))
         assert cli.main(["accumulate", "data", "--beta", "1e-3", "--gmin", text]) == cli.EXIT_OK
         assert seen == [value]
 
@@ -874,6 +879,154 @@ class TestStageRefusals:
         (workdir / "local.json").write_text(d.to_json())
         err = refused(capsys, "plan", workdir / "local.json", "--eps", "1e-3", "--k-range", "4:4")
         assert err == "error: no feasible block length in [4]\n"
+
+    def test_memory_error_exit_2_with_one_line(self, workdir, capsys, monkeypatch):
+        # a bare MemoryError, as a 2**31-position table's arange raises on a
+        # small host; raised here without allocating anything
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        (workdir / "ones.json").write_text(ONES_TABLE)
+        monkeypatch.setattr(pef, "block_gain", exhausted)
+        err = refused(capsys, "rate", workdir / "ones.json", workdir / "dist.json")
+        assert err == "error: out of memory\n"
+
+
+class TestDestinations:
+    """``main`` opens ``--output``, and ``accumulate`` its ``--trace``,
+    before any work, and writes once the result exists: an unwritable
+    destination or a missing option is refused before a block is read,
+    and a run that fails or writes nothing leaves an existing file as it
+    was and creates none."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The calls to ``protocol.read_blocks`` from here on."""
+        calls = []
+        real = protocol.read_blocks
+        monkeypatch.setattr(protocol, "read_blocks", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("option", ["--trace", "--output"])
+    def test_unwritable_destination_refused_before_reading(self, workdir, capsys, reads, option):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        dest = workdir / "no-such-dir" / "dest"
+        err = refused(capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1", option, dest)
+        assert err == f"error: [Errno 2] No such file or directory: '{dest}'\n"
+        assert reads == []
+
+    def test_accumulate_without_beta_refused_before_reading(self, workdir, capsys, reads):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        err = refused(capsys, "accumulate", ds, "--gmin", "1")
+        assert err == "error: accumulate needs --beta and --gmin\n"
+        assert reads == []
+
+    def test_plan_unwritable_output_refused_before_planning(self, workdir, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("planned before the destination was opened")
+
+        monkeypatch.setattr(planner, "expansion_feasible", never)
+        dest = workdir / "no-such-dir" / "p.json"
+        err = refused(
+            capsys, "plan", workdir / "dist.json", "--eps", "1e-3", "--k", "4",
+            "--blocks", "1000", "--output", dest,
+        )
+        assert err == f"error: [Errno 2] No such file or directory: '{dest}'\n"
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    @pytest.mark.parametrize("option", ["--trace", "--output"])
+    def test_refused_run_leaves_destination_as_it_was(self, workdir, capsys, option, existing):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        dest = workdir / f"refused{option}-{existing}"
+        if existing:
+            dest.write_bytes(b"earlier result\n")
+        # --blocks 0 is refused after the destinations are open and the blocks read
+        refused(capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1", "--blocks", "0", option, dest)
+        assert dest.read_bytes() == b"earlier result\n" if existing else not dest.exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_report_exit_1_writes_nothing(self, workdir, capsys, existing):
+        state = protocol.AccumulatorState(G_run=0.0, N_run=10, bits_consumed=190)
+        (workdir / "report-failed.json").write_text(json.dumps(state.to_dict()))
+        (workdir / "report-ext.json").write_text(
+            ExtractorParams(m_in=10**6, sigma_in=46.0, eps_ext=0.5, eps=1.0, k_out=46, d_s=8, w=5).to_json()
+        )
+        dest = workdir / f"report-{existing}.json"
+        if existing:
+            dest.write_bytes(b"earlier result\n")
+        code = cli.main(
+            ["report", str(workdir / "report-failed.json"), str(workdir / "report-ext.json"),
+             "--k", "17", "--output", str(dest)]
+        )
+        assert code == cli.EXIT_PROTOCOL_FAILURE
+        assert capsys.readouterr().err == "expansion summary requires a successful run\n"
+        assert dest.read_bytes() == b"earlier result\n" if existing else not dest.exists()
+
+    def test_output_replaces_a_longer_file(self, workdir, capsys):
+        dest = workdir / "replaced.json"
+        dest.write_text("x" * 10_000)
+        code, _ = run(capsys, "strength", workdir / "dist.json", "--output", dest)
+        assert code == 0
+        assert strict_json(dest.read_text())["statistical_strength_bits"] > 0
+
+    def test_output_to_a_pipe(self, workdir, capsys):
+        r, w = os.pipe()
+        with os.fdopen(r) as reader:
+            code, _ = run(capsys, "strength", workdir / "dist.json", "--output", f"/dev/fd/{w}")
+            os.close(w)
+            assert code == 0
+            assert strict_json(reader.read())["statistical_strength_bits"] > 0
+
+
+class TestManifestHashPins:
+    """Each command's ``manifest_hash`` on fixed inputs.  Paths are hashed
+    as given, so the commands run in a fresh directory on relative names:
+    the bundled files copied in, hand-written JSON and a fixed-seed dataset.
+    A change to the hashed parameters, their encoding or the order of the
+    input files changes a digest."""
+
+    def test_every_command_hash_pinned(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("commissioning_counts.json", "commissioning_distribution.json"):
+            Path(name).write_bytes((resources.files("direx.data") / name).read_bytes())
+        Path("pef.json").write_text(ONES_TABLE)
+        Path("state.json").write_text(json.dumps(
+            {"G_run": 1.7e9, "N_run": 49977714, "bits_consumed": 949576566,
+             "succeeded": True, "stop_block": 49977714}
+        ))
+        Path("ext.json").write_text(json.dumps(
+            {"m_in": 14698652631040, "sigma_in": 1181264480.0, "eps_ext": 1.78e-9,
+             "eps": 5.7e-7, "k_out": 1, "d_s": 1, "w": 1}
+        ))
+        dist = "commissioning_distribution.json"
+        runs = [
+            ("fit", "commissioning_counts.json"),
+            ("strength", dist),
+            ("pef-opt", dist, "--beta", "1e-6", "--k", "4"),
+            ("rate", "pef.json", dist),
+            ("plan", dist, "--eps", "1e-3", "--k", "4", "--blocks", "1000"),
+            ("simulate", dist, "--k", "4", "--blocks", "40", "--seed", "3", "--out", "ds"),
+            ("accumulate", "ds", "--beta", "1e-6", "--gmin", "1e9"),
+            ("extract-params", "--m-in", "2560000", "--sigma-in", "2000", "--eps-ext", "1e-3",
+             "--eps", "1e-2"),
+            ("report", "state.json", "ext.json", "--k", "17"),
+        ]
+        hashes = {}
+        for argv in runs:
+            code, out = run(capsys, *argv)
+            assert code in (0, 1), argv
+            hashes[argv[0]] = strict_json(out)["manifest_hash"]
+        assert hashes == {
+            "fit": "d1581595b9147b2e",
+            "strength": "4c7d66cdfad13c1e",
+            "pef-opt": "ccbc66853efc509d",
+            "rate": "1d274930f8c9456d",
+            "plan": "6003acc2ad918d3d",
+            "simulate": "236441d847fcbfc4",
+            "accumulate": "b1ad9b25ba158995",
+            "extract-params": "6583431971b89bd6",
+            "report": "bf8c9287b01bdaa3",
+        }
 
 
 #: run ``direx`` with the arguments
