@@ -103,6 +103,25 @@ class TestOptimizer:
         assert pef.is_valid_pef(tp)
         assert g > 0
 
+    def test_strict_refuses_a_finite_uncertified_gap(self, vertices):
+        """On the first non-deterministic vertex at k=4 and beta 1e-9 the
+        j=1 anchor certifies only a 2.1e-6 relative gap: a strict build and
+        a strict solve refuse it, and a design sweep's non-strict build
+        takes it."""
+        toy = vertices.vertices[int(np.flatnonzero(~vertices.deterministic_mask)[0])]
+        d = ConditionalDistribution(toy.reshape(4, 4))
+        with pytest.raises(pef.PefOptimizationError) as built:
+            pef.build_pef_table(d, 1e-9, 4, j_mid=2)
+        assert str(built.value) == "PEF optimisation stalled with certified relative gap 2.143e-06"
+        assert built.value.rel_gap == 2.1431294026285006e-06
+        with pytest.raises(pef.PefOptimizationError) as anchor:
+            pef.optimize_trial_pef(d, spot_probability(1, 4), 1e-9)
+        assert str(anchor.value) == str(built.value)
+        assert anchor.value.rel_gap == built.value.rel_gap
+        assert anchor.value.solution.tobytes() == built.value.solution.tobytes()
+        table = pef.build_pef_table(d, 1e-9, 4, j_mid=2, strict=False)
+        assert table.j_mid == 2 and all(pef.is_valid_pef(a) for a in table.anchors)
+
     def test_gain_continuous_in_beta(self, commissioning):
         d = commissioning["distribution"]
         for beta in (1e-7, 1e-4, 0.02):
