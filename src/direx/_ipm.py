@@ -26,7 +26,11 @@ loop (``A.T`` is a transposed view, reductions are ``matmul``), each
 iteration factors its normal matrix once for predictor and corrector, and a
 failed factorisation is handled per problem, so each result is
 bit-identical to solving that problem alone.  Converged problems leave the
-stack; the polish and the face scan run per problem.
+stack; the polish and the face scan run per problem, each on a stack of one.
+
+The solver reports and does not judge: every result carries its certified
+relative gap and whether that gap meets :data:`ACCEPT_REL_GAP`.  Whether an
+uncertified result may be used is decided by the caller (``direx.pef``).
 """
 
 from __future__ import annotations
@@ -45,18 +49,8 @@ GAP_FLOOR = 1e-12
 #: certified relative duality gap at which a solve stops
 REL_TOL = 1e-7
 
-
-class PefOptimizationError(ValueError):
-    """Solver failed to certify the requested optimality gap.
-
-    ``solution`` carries the best deviation vector found, ``rel_gap`` the
-    certified relative duality gap at that point.
-    """
-
-    def __init__(self, message: str, solution: np.ndarray, rel_gap: float):
-        super().__init__(message)
-        self.solution = solution
-        self.rel_gap = rel_gap
+#: certified relative duality gap at which a result counts as certified
+ACCEPT_REL_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,13 +59,17 @@ class PefSolution:
 
     ``excess`` is the full 16-vector ``y`` (zero-weight cells are zero and
     are filled by the caller), ``gain_bits`` the certified objective
-    ``E[log2 F]/beta`` and ``rel_gap`` the certified relative duality gap.
+    ``E[log2 F]/beta`` and ``rel_gap`` the certified relative duality gap,
+    ``inf`` when no iterate has a finite certificate.  ``certified`` says
+    whether the gap is at most ``max(ACCEPT_REL_GAP * |objective|,
+    GAP_FLOOR)``.
     """
 
     excess: np.ndarray
     gain_bits: float
     rel_gap: float
     dual: np.ndarray
+    certified: bool
 
 
 def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -136,13 +134,6 @@ def _solve_scaled(Bs: np.ndarray, factor, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _spd_solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve B z = rhs for SPD B with diagonal scaling for conditioning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        d, Bs = _scaled(B[None])
-        return _solve_scaled(Bs, _cholesky(Bs), rhs[None] * d)[0] * d[0]
-
-
 def _certified_gaps(ws, A, r, beta, y, lam) -> np.ndarray:
     """Duality gap at (y, lam) per problem, as a sum of nonnegative terms."""
     lam = np.maximum(lam, 0.0)
@@ -164,21 +155,6 @@ def _phis(ws, beta, y) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         val = _dot(ws, np.log1p(arg)) / beta
     return np.where((arg <= -1.0).any(axis=1), -np.inf, val)
-
-
-def _certified_gap(ws, A, r, beta, y, lam) -> float:
-    """:func:`_certified_gaps` for one problem."""
-    b = np.array([beta])
-    return float(_certified_gaps(ws[None], A[None], r[None], b, y[None], lam[None])[0])
-
-
-def _phi_factory(ws, beta):
-    b = np.array([beta])
-
-    def phi(yv):
-        return float(_phis(ws[None], b, yv[None])[0])
-
-    return phi
 
 
 def _max_steps(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -276,9 +252,12 @@ def _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best):
 
 
 def _polish(ws, A, r, beta, y0, lam0, best, act=None):
-    """Exact Newton solve on the active face guessed from the dual point."""
+    """Exact Newton solve on the active face guessed from the dual point.
+
+    Objectives, gaps and Newton steps are those of the stacked loop, on a
+    stack of one."""
     M, m = A.shape
-    phi = _phi_factory(ws, beta)
+    ws1, A1, r1, b1 = ws[None], A[None], r[None], np.array([beta])
 
     s0 = r - A @ y0
     if act is None:
@@ -300,11 +279,13 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
             for _n in range(100):
                 yv = yp + Z @ u
                 fy = 1.0 + beta * yv
-                # a cell at F = 0 makes the step non-finite; ndec rejects it
-                with np.errstate(divide="ignore", invalid="ignore"):
+                # a cell at F = 0 makes the step non-finite, and a near-
+                # singular face overflows the scaled solve; ndec rejects both
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     gradu = Z.T @ (ws / fy)
                     Hu = (Z.T * (ws / fy**2)) @ Z  # -hessian/beta, SPD
-                    du = _spd_solve(Hu, gradu) / beta
+                    d, Hs = _scaled(Hu[None])
+                    du = _solve_scaled(Hs, _cholesky(Hs), gradu[None] * d)[0] * d[0] / beta
                     ndec = float(gradu @ du) * beta
                 if not np.isfinite(ndec) or ndec <= 0:
                     break
@@ -314,7 +295,7 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
                 ).any():
                     step *= 0.5
                 u = u + step * du
-                if 0.5 * ndec <= 1e-18 * max(abs(phi(yv)) * beta, 1e-20):
+                if 0.5 * ndec <= 1e-18 * max(abs(float(_phis(ws1, b1, yv[None])[0])) * beta, 1e-20):
                     break
             ycand = yp + Z @ u
         else:
@@ -329,9 +310,9 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
         lam = np.zeros(M)
         for k_, a_ in enumerate(act):
             lam[a_] = max(float(lam_act[k_]), 0.0)
-        gap = _certified_gap(ws, A, r, beta, ycand, lam)
+        gap = float(_certified_gaps(ws1, A1, r1, b1, ycand[None], lam[None])[0])
         if gap < best[2]:
-            best = (ycand.copy(), phi(ycand), gap, lam.copy())
+            best = (ycand.copy(), float(_phis(ws1, b1, ycand[None])[0]), gap, lam.copy())
         scale = max(1.0, float(np.abs(lam_act).max())) if act else 1.0
         negs = [act[k_] for k_ in range(len(act)) if lam_act[k_] < -1e-9 * scale]
         if not negs:
@@ -340,9 +321,7 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
     return best
 
 
-def solve_trial_pef(
-    w: np.ndarray, A_full: np.ndarray, rho: np.ndarray, beta: float, strict: bool = True
-) -> PefSolution:
+def solve_trial_pef(w: np.ndarray, A_full: np.ndarray, rho: np.ndarray, beta: float) -> PefSolution:
     """Optimise a trial PEF in deviation coordinates.
 
     ``w`` are the 16 honest joint cell probabilities (objective weights),
@@ -350,22 +329,18 @@ def solve_trial_pef(
     right-hand side, all as produced by ``pef.pef_constraints``.  Cells with
     zero weight are excluded from the optimisation (their deviation is
     returned as 0) and constraint rows that do not touch the support are
-    vacuous.  Raises :class:`PefOptimizationError` if the certified relative
-    gap exceeds ``max(REL_TOL, 1e-6)``; with ``strict=False`` the best
-    feasible iterate is returned instead together with its certified gap
-    (useful for coarse design sweeps at extreme powers where float64 cannot
-    certify below roughly 1e-5).  This is :func:`solve_trial_pefs` on a
-    stack of one.
+    vacuous.  The best iterate is returned with its certificate, whether or
+    not it is certified (float64 cannot certify below roughly 1e-5 at
+    extreme powers).  This is :func:`solve_trial_pefs` on a stack of one.
     """
-    return solve_trial_pefs([(w, A_full, rho, beta)], strict)[0]
+    return solve_trial_pefs([(w, A_full, rho, beta)])[0]
 
 
-def solve_trial_pefs(problems, strict: bool = True) -> list[PefSolution]:
+def solve_trial_pefs(problems) -> list[PefSolution]:
     """:func:`solve_trial_pef` for many ``(w, A_full, rho, beta)`` problems.
 
     Problems of equal reduced shape share one interior-point loop; each
-    result is bit-identical to solving that problem alone.  The first
-    failure in problem order is raised after all are solved.
+    result is bit-identical to solving that problem alone.
     """
     reduced = [_reduce(*p) for p in problems]
     bests: list = [None] * len(reduced)
@@ -379,11 +354,7 @@ def solve_trial_pefs(problems, strict: bool = True) -> list[PefSolution]:
         stack = _pdipm(ws, A, r, beta, REL_TOL)
         for row, i in enumerate(ids):
             bests[i] = tuple(v[row].copy() if v.ndim > 1 else v[row] for v in stack)
-    out = [_finish(red, best, strict) for red, best in zip(reduced, bests)]
-    for sol in out:
-        if isinstance(sol, PefOptimizationError):
-            raise sol
-    return out
+    return [_finish(red, best) for red, best in zip(reduced, bests)]
 
 
 def _reduce(w, A_full, rho, beta):
@@ -403,8 +374,8 @@ def _reduce(w, A_full, rho, beta):
     return ws, A, r, float(beta), sup, keep, A_full.shape[0]
 
 
-def _finish(reduced, best, strict) -> PefSolution | PefOptimizationError:
-    """Polish one interior-point result and certify it."""
+def _finish(reduced, best) -> PefSolution:
+    """Polish one interior-point result and report its certificate."""
     ws, A, r, beta, sup, keep, n_rows = reduced
     best = (best[0], float(best[1]), float(best[2]), best[3])
     m = A.shape[1]
@@ -420,16 +391,15 @@ def _finish(reduced, best, strict) -> PefSolution | PefOptimizationError:
                 break
 
     y, pv, gap, lam = best
-    rel_gap = gap / max(abs(pv), 1e-300)
+    rel_gap = gap / max(abs(pv), 1e-300) if math.isfinite(gap) else math.inf
     y_full = np.zeros(16)
     y_full[sup] = y
     lam_full = np.zeros(n_rows)
     lam_full[keep] = lam[: keep.sum()]  # bound-row duals are internal
-    if not math.isfinite(gap) or gap > max(max(REL_TOL, 1e-6) * abs(pv), GAP_FLOOR):
-        if strict or not math.isfinite(gap):
-            return PefOptimizationError(
-                f"PEF optimisation stalled with certified relative gap {rel_gap:.3e}",
-                solution=y_full,
-                rel_gap=rel_gap,
-            )
-    return PefSolution(excess=y_full, gain_bits=pv / _LN2, rel_gap=rel_gap, dual=lam_full)
+    return PefSolution(
+        excess=y_full,
+        gain_bits=pv / _LN2,
+        rel_gap=rel_gap,
+        dual=lam_full,
+        certified=gap <= max(ACCEPT_REL_GAP * abs(pv), GAP_FLOOR),
+    )

@@ -44,12 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from direx._ipm import (
-    PefOptimizationError,
-    PefSolution,
-    solve_trial_pef,
-    solve_trial_pefs,
-)
+from direx._ipm import PefSolution, solve_trial_pef, solve_trial_pefs
 from direx.model import (
     MAX_K,
     ConditionalDistribution,
@@ -91,6 +86,31 @@ _BETA_RANGE = (1e-150, 1e150)
 
 class InvalidRegimeError(ValueError):
     """Raised when certificate parameters are outside their domain."""
+
+
+class PefOptimizationError(ValueError):
+    """Solver failed to certify the requested optimality gap.
+
+    ``solution`` carries the best deviation vector found, ``rel_gap`` the
+    certified relative duality gap at that point.
+    """
+
+    def __init__(self, message: str, solution: np.ndarray, rel_gap: float):
+        super().__init__(message)
+        self.solution = solution
+        self.rel_gap = rel_gap
+
+
+def _check_certified(sols) -> None:
+    """Raise :class:`PefOptimizationError` for the first of ``sols`` whose
+    duality gap is not certified."""
+    for sol in sols:
+        if not sol.certified:
+            raise PefOptimizationError(
+                f"PEF optimisation stalled with certified relative gap {sol.rel_gap:.3e}",
+                solution=sol.excess,
+                rel_gap=sol.rel_gap,
+            )
 
 
 def _check_beta(beta: float) -> None:
@@ -173,18 +193,13 @@ def is_valid_pef(f: TrialPef) -> bool:
     return bool((A @ f.excess.ravel() <= rho + PEF_VALIDITY_TOL / f.beta).all())
 
 
-def optimize_trial_pef(
-    nu_h: ConditionalDistribution,
-    q: float,
-    beta: float,
-    strict: bool = True,
-) -> tuple[TrialPef, float]:
+def optimize_trial_pef(nu_h: ConditionalDistribution, q: float, beta: float) -> tuple[TrialPef, float]:
     """Best trial PEF for honest distribution ``nu_h`` at one position.
 
     Maximises ``E[log2 F]/beta`` under the honest joint distribution
     ``nu_q(z) * nu_h(c|z)`` subject to the PEF inequality at all extreme
     points.  Returns the PEF and its certified gain in bits; the certified
-    relative duality gap is at most ``max(_ipm.REL_TOL, 1e-6)`` or
+    relative duality gap is at most ``_ipm.ACCEPT_REL_GAP`` or
     :class:`PefOptimizationError` is raised.
 
     Cells with zero honest probability do not enter the objective; they are
@@ -192,7 +207,8 @@ def optimize_trial_pef(
     constraint satisfied, which keeps the output deterministic.
     """
     problem = _pef_problem(nu_h, q, beta)
-    sol: PefSolution = solve_trial_pef(*problem, strict=strict)
+    sol: PefSolution = solve_trial_pef(*problem)
+    _check_certified([sol])
     return _lift_zero_cells(problem, sol, q), sol.gain_bits
 
 
@@ -530,7 +546,10 @@ def build_pef_table(
     refinement, on a decimated rate estimate) picks the position that
     maximises the interpolated block rate.  Without either, ``k == 17``
     falls back to the production value 53478, other ``k`` run the search.
-    This is :func:`build_pef_tables` for one power.
+    An anchor whose duality gap is not certified raises
+    :class:`PefOptimizationError`; with ``strict=False`` (design sweeps) one
+    with a finite gap is used.  This is :func:`build_pef_tables` for one
+    power.
     """
     return build_pef_tables(nu_h, [beta], k, j_mid, optimize_j_mid, strict)[0][0]
 
@@ -570,7 +589,10 @@ def build_pef_tables(
             batch = jobs[at : at + ANCHOR_BATCH]
             qs = [spot_probability(j, k) for _, j in batch]
             problems = [_pef_problem(nu_h, q, betas[i]) for (i, _), q in zip(batch, qs)]
-            sols = solve_trial_pefs(problems, strict=strict)
+            sols = solve_trial_pefs(problems)
+            # a design sweep may use an uncertified anchor, never one
+            # without a finite certificate
+            _check_certified(sols if strict else [s for s in sols if not math.isfinite(s.rel_gap)])
             for (i, j), problem, sol, q in zip(batch, problems, sols, qs):
                 anchors[i][j] = _lift_zero_cells(problem, sol, q)
 

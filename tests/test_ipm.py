@@ -267,7 +267,7 @@ class TestBatchedLoop:
         assert got_ipm[1][0] == want_ipm[1] and got_ipm[2][0] == want_ipm[2]
         assert _same(got_ipm[3][0], want_ipm[3])
 
-        sol = _ipm.solve_trial_pef(w, A_full, rho, beta, strict=False)
+        sol = _ipm.solve_trial_pef(w, A_full, rho, beta)
         y, pv, gap, _lam = want
         assert _same(sol.excess[w > 0], y)
         assert sol.gain_bits == pv / math.log(2.0)
@@ -281,7 +281,7 @@ class TestBatchedLoop:
         )
         for case in CASES[-2:]:
             calls.clear()
-            _ipm.solve_trial_pef(*_problem(*case), strict=False)
+            _ipm.solve_trial_pef(*_problem(*case))
             assert calls, case
 
     def test_alone_equals_inside_a_shuffled_batch(self):
@@ -293,9 +293,9 @@ class TestBatchedLoop:
                 w = pef._cell_input_weights(q) * d.table.ravel()
                 problems.append((w, *pef.pef_constraints(q, float(b)), float(b)))
         order = np.random.default_rng(7).permutation(len(problems))
-        batch = _ipm.solve_trial_pefs([problems[i] for i in order], strict=False)
+        batch = _ipm.solve_trial_pefs([problems[i] for i in order])
         for got, i in zip(batch, order):
-            alone = _ipm.solve_trial_pef(*problems[i], strict=False)
+            alone = _ipm.solve_trial_pef(*problems[i])
             assert _same(got.excess, alone.excess)
             assert _same(got.dual, alone.dual)
             assert got.gain_bits == alone.gain_bits and got.rel_gap == alone.rel_gap
@@ -304,9 +304,14 @@ class TestBatchedLoop:
         good = _problem("commissioning", 0.5, 1e-7)
         # y <= -20 contradicts the F >= 0 bound y >= -1/beta = -10
         bad = (np.full(16, 1 / 16), np.eye(16), np.full(16, -20.0), 0.1)
-        with pytest.raises(_ipm.PefOptimizationError) as alone:
-            _ipm.solve_trial_pef(*bad, strict=False)
-        with pytest.raises(_ipm.PefOptimizationError) as batched:
-            _ipm.solve_trial_pefs([good, bad, good], strict=False)
-        assert batched.value.rel_gap == alone.value.rel_gap == math.inf
-        assert _same(batched.value.solution, alone.value.solution)
+        alone = _ipm.solve_trial_pef(*bad)
+        batched = _ipm.solve_trial_pefs([good, bad, good])
+        assert batched[1].rel_gap == alone.rel_gap == math.inf
+        assert not batched[1].certified and not alone.certified
+        assert batched[0].certified and batched[2].certified
+        assert _same(batched[1].excess, alone.excess)
+        # pef refuses the first solution without a finite certificate
+        with pytest.raises(pef.PefOptimizationError) as refused:
+            pef._check_certified(batched)
+        assert refused.value.rel_gap == math.inf
+        assert _same(refused.value.solution, alone.excess)

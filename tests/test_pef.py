@@ -489,7 +489,10 @@ def _former_search_table(nu_h, beta, k) -> tuple[pef.PefTable, list[int]]:
 
     def anchor(j):
         q = spot_probability(j, k)
-        return pef.optimize_trial_pef(nu_h, q, beta, strict=False)[0]
+        problem = pef._pef_problem(nu_h, q, beta)
+        sol = _ipm.solve_trial_pef(*problem)
+        assert math.isfinite(sol.rel_gap)  # the non-strict check
+        return pef._lift_zero_cells(problem, sol, q)
 
     a1, ak = anchor(1), anchor(n)
 
