@@ -416,8 +416,11 @@ def block_gain(table: PefTable, nu_h: ConditionalDistribution) -> GainReport:
         s_j[rows] = np.einsum("ji,ji->j", w, np.square(log2f, out=log2f))
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
 
-    e1 = float(omega @ m_j)
-    e2 = float(omega @ s_j + 2.0 * (omega * m_j) @ prefix)
+    # numpy's own pairwise sums, not BLAS dots, whose summation order
+    # follows the BLAS thread count
+    wm = omega * m_j
+    e1 = float(np.sum(wm))
+    e2 = float(np.sum(omega * s_j) + 2.0 * np.sum(wm * prefix))
     beta = table.beta
     g_block = e1 / beta
     var_block = max((e2 - e1 * e1) / beta**2, 0.0)

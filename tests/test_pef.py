@@ -12,6 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +268,29 @@ class TestBlockGain:
         assert rep.g_block == pytest.approx(e1 / beta, rel=1e-12)
         assert rep.var_block == pytest.approx((e2 - e1 * e1) / beta**2, rel=1e-9)
 
+    def test_same_bits_at_any_blas_thread_count(self, production_table, tmp_path):
+        """``block_gain`` on the production table, in fresh interpreters at
+        one and two BLAS threads, prints the same ``repr``s."""
+        path = tmp_path / "table.json"
+        path.write_text(production_table.to_json())
+        script = (
+            "import sys; from direx import pef; from direx.data import commissioning_distribution; "
+            "t = pef.PefTable.from_json(open(sys.argv[1]).read()); "
+            "r = pef.block_gain(t, commissioning_distribution()); print(repr(r.g_block), repr(r.var_block))"
+        )
+        src = str(Path(pef.__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
     def test_monte_carlo_agreement(self, commissioning, small_table):
         nu_h = commissioning["distribution"]
         rep = pef.block_gain(small_table, nu_h)
@@ -465,8 +492,8 @@ def _former_block_gain(table, nu_h) -> tuple[float, float]:
     s_j = np.einsum("ji,ji->j", w, log2f**2)
     m00 = log2f[:, :4] @ nu_h.table[0]
     prefix = np.concatenate(([0.0], np.cumsum(m00)[:-1]))
-    e1 = float(omega @ m_j)
-    e2 = float(omega @ s_j + 2.0 * (omega * m_j) @ prefix)
+    e1 = float(np.sum(omega * m_j))
+    e2 = float(np.sum(omega * s_j) + 2.0 * np.sum(omega * m_j * prefix))
     return e1 / table.beta, max((e2 - e1 * e1) / table.beta**2, 0.0)
 
 
