@@ -9,8 +9,9 @@ hash of the fully resolved inputs so reruns can be checked for identity.
 
 Each ``cmd_*`` function computes and returns its result; ``main`` alone
 writes it.  ``main`` opens ``--output`` before the command runs (and
-``accumulate`` its ``--trace``, after checking its options and before
-reading a block), so an unwritable destination costs no work.  Once the
+``accumulate`` its ``--trace``, before reading a block), so an unwritable
+destination costs no work; ``accumulate`` checks every option, and
+``simulate`` that ``--out`` holds no dataset, before the work too.  Once the
 result exists, ``main`` adds ``manifest_hash`` (and ``seed``), hashing the
 inputs once, and writes it.  A run that fails, or writes nothing as
 ``report``'s exit 1 does, removes a file it created and leaves an existing
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -210,6 +212,7 @@ def cmd_simulate(args, stamp):
     from direx import model, protocol
 
     dist = _load(model.ConditionalDistribution, args.distribution)
+    protocol.check_dataset_destination(args.out)  # before a block is drawn
     # simulation reads only k, N_b, the seed and the dead time: beta and G_min are unused
     cfg = protocol.RunConfig(
         k=args.k,
@@ -252,19 +255,21 @@ def cmd_accumulate(args, stamp):
     if args.trace_decimation < 1:
         raise InputError(f"--trace-decimation must be at least 1, got {args.trace_decimation}")
     with _destination(args.trace) as trace_fh:
-        cycles, _ = protocol.load_dataset(root)
-        n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
-        if not n_blocks:
-            raise InputError(f"dataset at {args.data} contains no blocks")
         cfg = protocol.RunConfig(
             k=k,
             beta=args.beta,
             G_min=args.gmin,
-            N_b=n_blocks if args.blocks is None else args.blocks,
+            N_b=1 if args.blocks is None else args.blocks,  # N_b's default needs the count
             n_calib_min=args.n_calib_min,
             seed=0,  # the analysis draws nothing at random
             check_granularity=args.check_granularity,
         )
+        cycles, _ = protocol.load_dataset(root)
+        n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
+        if not n_blocks:
+            raise InputError(f"dataset at {args.data} contains no blocks")
+        if args.blocks is None:
+            cfg = dataclasses.replace(cfg, N_b=n_blocks)
 
         j_mid = args.j_mid
 

@@ -73,6 +73,7 @@ __all__ = [
     "expansion_summary",
     "write_blocks",
     "read_blocks",
+    "check_dataset_destination",
     "write_dataset",
     "dataset_layout",
     "load_dataset",
@@ -656,9 +657,20 @@ def read_blocks(fh) -> Blocks:
     return Blocks(L, boe, events["pos"], events["out"], _spot_codes(*spot.T))
 
 
-def write_dataset(cycles: Sequence[CycleData], path: str | Path, meta: dict) -> None:
-    """Write cycles to a directory tree the accumulator can read back."""
+def check_dataset_destination(path: str | Path) -> None:
+    """Refuse, with ``ValueError``, a directory that already holds a
+    dataset's ``manifest.json`` or a ``cycle_*`` entry: writing into it
+    would mix two runs.  A new or empty directory is accepted."""
     root = Path(path)
+    if (root / "manifest.json").exists() or any(root.glob("cycle_*")):
+        raise ValueError(f"{root} already holds a dataset; write to a new directory")
+
+
+def write_dataset(cycles: Sequence[CycleData], path: str | Path, meta: dict) -> None:
+    """Write cycles to a directory tree the accumulator can read back,
+    in a directory that holds no dataset yet."""
+    root = Path(path)
+    check_dataset_destination(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "manifest.json").write_text(json.dumps(meta, indent=1))
     for ci, cyc in enumerate(cycles):

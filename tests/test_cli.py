@@ -895,9 +895,10 @@ class TestStageRefusals:
 class TestDestinations:
     """``main`` opens ``--output``, and ``accumulate`` its ``--trace``,
     before any work, and writes once the result exists: an unwritable
-    destination or a missing option is refused before a block is read,
-    and a run that fails or writes nothing leaves an existing file as it
-    was and creates none."""
+    destination or a missing or bad option is refused before a block is
+    read, ``simulate`` refuses an ``--out`` that holds a dataset before it
+    draws a block, and a run that fails or writes nothing leaves an
+    existing file as it was and creates none."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -921,6 +922,33 @@ class TestDestinations:
         assert err == "error: accumulate needs --beta and --gmin\n"
         assert reads == []
 
+    @pytest.mark.parametrize(
+        "option",
+        [("--beta", "nan"), ("--gmin", "inf"), ("--blocks", "0"), ("--n-calib-min", "-1")],
+        ids=lambda o: f"{o[0]}={o[1]}",
+    )
+    def test_accumulate_bad_option_refused_before_reading(self, workdir, capsys, reads, option):
+        ds = _k6_dataset(workdir, capsys, "k6-refused")
+        opts = {"--beta": "1e-6", "--gmin": "1", **dict([option])}
+        refused(capsys, "accumulate", ds, *(x for kv in opts.items() for x in kv))
+        assert reads == []
+
+    def test_simulate_refuses_an_existing_dataset(self, workdir, capsys, monkeypatch):
+        ds = workdir / "simulated-twice"
+        argv = ["simulate", workdir / "dist.json", "--k", "4", "--blocks-per-file", "50",
+                "--files-per-cycle", "2", "--out", ds]
+        code, _ = run(capsys, *argv, "--blocks", "400")
+        assert code == 0
+        before = {f: f.read_bytes() for f in ds.rglob("*") if f.is_file()}
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew blocks before the destination was checked")
+
+        monkeypatch.setattr(protocol, "simulate_dataset", never)
+        err = refused(capsys, *argv, "--blocks", "100")
+        assert err == f"error: {ds} already holds a dataset; write to a new directory\n"
+        assert {f: f.read_bytes() for f in ds.rglob("*") if f.is_file()} == before
+
     def test_plan_unwritable_output_refused_before_planning(self, workdir, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("planned before the destination was opened")
@@ -940,7 +968,7 @@ class TestDestinations:
         dest = workdir / f"refused{option}-{existing}"
         if existing:
             dest.write_bytes(b"earlier result\n")
-        # --blocks 0 is refused after the destinations are open and the blocks read
+        # --blocks 0 is refused after the destinations are open
         refused(capsys, "accumulate", ds, "--beta", "1e-6", "--gmin", "1", "--blocks", "0", option, dest)
         assert dest.read_bytes() == b"earlier result\n" if existing else not dest.exists()
 

@@ -747,6 +747,15 @@ class TestWireFormats:
         assert manifest["k"] == 4
         assert back == cycles
 
+    @pytest.mark.parametrize("entry", ["manifest.json", "cycle_0000"])
+    def test_write_dataset_refuses_an_existing_dataset(self, commissioning, tmp_path, entry):
+        cfg = RunConfig(k=4, beta=1e-6, G_min=1.0, N_b=20, n_calib_min=1, seed=12)
+        cycles, _ = simulate_dataset(commissioning["distribution"], cfg, 10, 2, 3000, 300)
+        (tmp_path / entry).mkdir()
+        with pytest.raises(ValueError, match="already holds a dataset"):
+            protocol.write_dataset(cycles, tmp_path, {"k": 4})
+        assert [p.name for p in tmp_path.iterdir()] == [entry]
+
     def test_trace_csv(self, tmp_path):
         trace = np.array([[1, 0.5, 8], [2, 1.5, 16], [3, 2.5, 24], [4, 3.0, 32]])
         buf = io.StringIO()
