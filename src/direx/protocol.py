@@ -658,10 +658,13 @@ def read_blocks(fh) -> Blocks:
 
 
 def check_dataset_destination(path: str | Path) -> None:
-    """Refuse, with ``ValueError``, a directory that already holds a
-    dataset's ``manifest.json`` or a ``cycle_*`` entry: writing into it
-    would mix two runs.  A new or empty directory is accepted."""
+    """Refuse, with ``ValueError``, a path that is not a directory, or a
+    directory that already holds a dataset's ``manifest.json`` or a
+    ``cycle_*`` entry: writing into it would mix two runs.  A new or empty
+    directory is accepted."""
     root = Path(path)
+    if root.exists() and not root.is_dir():
+        raise ValueError(f"{root} is not a directory")
     if (root / "manifest.json").exists() or any(root.glob("cycle_*")):
         raise ValueError(f"{root} already holds a dataset; write to a new directory")
 

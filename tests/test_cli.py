@@ -948,6 +948,11 @@ class TestDestinations:
         err = refused(capsys, *argv, "--blocks", "100")
         assert err == f"error: {ds} already holds a dataset; write to a new directory\n"
         assert {f: f.read_bytes() for f in ds.rglob("*") if f.is_file()} == before
+        not_a_dir = workdir / "simulated-into-a-file"
+        not_a_dir.write_bytes(b"kept\n")
+        err = refused(capsys, *argv[:-1], not_a_dir, "--blocks", "100")
+        assert err == f"error: {not_a_dir} is not a directory\n"
+        assert not_a_dir.read_bytes() == b"kept\n"
 
     def test_plan_unwritable_output_refused_before_planning(self, workdir, capsys, monkeypatch):
         def never(*args, **kwargs):
