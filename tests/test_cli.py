@@ -896,9 +896,9 @@ class TestDestinations:
     """``main`` opens ``--output``, and ``accumulate`` its ``--trace``,
     before any work, and writes once the result exists: an unwritable
     destination or a missing or bad option is refused before a block is
-    read, ``simulate`` refuses an ``--out`` that holds a dataset before it
-    draws a block, and a run that fails or writes nothing leaves an
-    existing file as it was and creates none."""
+    read, ``simulate`` refuses an ``--out`` that is a file or holds a
+    dataset before it draws a block, and a run that fails or writes
+    nothing leaves an existing file as it was and creates none."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
