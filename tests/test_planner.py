@@ -165,6 +165,25 @@ class TestFeasibility:
         min_blocks(toy_dist, 4, 1e-3, curve=GainCurve(toy_dist, 4))
         assert set(asked_powers) == set(evaluated)
 
+    def test_min_blocks_certification_pinned(self, toy_dist, monkeypatch):
+        """Every trial-PEF solve of the toy design sweep, and which of them
+        the solver certifies, pinned at one BLAS thread: a change to the
+        solver's face polish that certifies fewer (or more) solutions, or
+        moves the plan, shows here."""
+        sols = []
+        solve = pef.solve_trial_pefs
+
+        def recorded(problems):
+            out = solve(problems)
+            sols.extend(out)
+            return out
+
+        monkeypatch.setattr(pef, "solve_trial_pefs", recorded)
+        plan = min_blocks(toy_dist, 4, 1e-3, curve=GainCurve(toy_dist, 4))
+        assert len(sols) == 992
+        assert sum(not s.certified for s in sols) == 21
+        assert plan.N_b_min == 365_128
+
     def test_optimal_block_length_empty_range(self, commissioning):
         with pytest.raises(ValueError, match="k_range must be nonempty"):
             optimal_block_length(commissioning["distribution"], 1e-3, [])
