@@ -10,9 +10,9 @@ cells and ``rho_v = (1 - sum_i A_vi)/beta``.  Working with ``y`` rather than
 ``F`` keeps full precision at the tiny powers this protocol uses, where the
 optimal ``F`` differs from 1 by parts in 1e6.
 
-A Mehrotra predictor-corrector loop drives the KKT residuals down; an
-active-set Newton polish then lands on the face and produces a certificate
-from the dual decomposition
+A Mehrotra predictor-corrector loop drives the KKT residuals down; one
+Newton polish on the face that the duals pick then lands on it, and the
+certificate comes from the dual decomposition
 
     gap = (1/beta) * sum_i w_i * h(u_i) + lam . s,    h(u) = u - 1 - ln(u),
 
@@ -26,7 +26,7 @@ loop (``A.T`` is a transposed view, reductions are ``matmul``), each
 iteration factors its normal matrix once for predictor and corrector, and a
 failed factorisation is handled per problem, so each result is
 bit-identical to solving that problem alone.  Converged problems leave the
-stack; the polish and the face scan run per problem, each on a stack of one.
+stack; the polish runs per problem, on a stack of one.
 
 The solver reports and does not judge: every result carries its certified
 relative gap and whether that gap meets :data:`ACCEPT_REL_GAP`.  Whether an
@@ -251,7 +251,7 @@ def _pdipm_loop(ws, A, r, beta, rel_tol, max_iter, y, s, lam, best):
             )
 
 
-def _polish(ws, A, r, beta, y0, lam0, best, act=None):
+def _polish(ws, A, r, beta, y0, lam0, best):
     """Exact Newton solve on the active face guessed from the dual point.
 
     Objectives, gaps and Newton steps are those of the stacked loop, on a
@@ -260,64 +260,55 @@ def _polish(ws, A, r, beta, y0, lam0, best, act=None):
     ws1, A1, r1, b1 = ws[None], A[None], r[None], np.array([beta])
 
     s0 = r - A @ y0
-    if act is None:
-        act = [int(i) for i in range(M) if lam0[i] > s0[i]]
-    for _ in range(len(act) + 2):
-        if act:
-            Aact = A[act]
-            u_, sv_, vt_ = np.linalg.svd(Aact, full_matrices=True)
-            rank = int((sv_ > 1e-12 * sv_[0]).sum()) if sv_.size else 0
-            yp = vt_[:rank].T @ ((u_.T[:rank] @ r[act]) / sv_[:rank])
-            Z = vt_[rank:].T
-        else:
-            yp = np.zeros(m)
-            Z = np.eye(m)
-        u = Z.T @ (y0 - yp)
-        if (1.0 + beta * (yp + Z @ u) <= 0).any():
-            u = np.zeros(Z.shape[1])
-        if Z.shape[1]:
-            for _n in range(100):
-                yv = yp + Z @ u
-                fy = 1.0 + beta * yv
-                # a cell at F = 0 makes the step non-finite, and a near-
-                # singular face overflows the scaled solve; ndec rejects both
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    gradu = Z.T @ (ws / fy)
-                    Hu = (Z.T * (ws / fy**2)) @ Z  # -hessian/beta, SPD
-                    d, Hs = _scaled(Hu[None])
-                    du = _solve_scaled(Hs, _cholesky(Hs), gradu[None] * d)[0] * d[0] / beta
-                    ndec = float(gradu @ du) * beta
-                if not np.isfinite(ndec) or ndec <= 0:
-                    break
-                step = 1.0
-                while step > 1e-16 and (
-                    1.0 + beta * (yp + Z @ (u + step * du)) <= 0
-                ).any():
-                    step *= 0.5
-                u = u + step * du
-                if 0.5 * ndec <= 1e-18 * max(abs(float(_phis(ws1, b1, yv[None])[0])) * beta, 1e-20):
-                    break
-            ycand = yp + Z @ u
-        else:
-            ycand = yp
-        fy = 1.0 + beta * ycand
-        if (fy <= 0).any():
-            break  # face pins a support cell to F = 0; no valid multipliers
-        if act:
-            lam_act, *_ = np.linalg.lstsq(A[act].T, ws / fy, rcond=None)
-        else:
-            lam_act = np.zeros(0)
-        lam = np.zeros(M)
-        for k_, a_ in enumerate(act):
-            lam[a_] = max(float(lam_act[k_]), 0.0)
-        gap = float(_certified_gaps(ws1, A1, r1, b1, ycand[None], lam[None])[0])
-        if gap < best[2]:
-            best = (ycand.copy(), float(_phis(ws1, b1, ycand[None])[0]), gap, lam.copy())
-        scale = max(1.0, float(np.abs(lam_act).max())) if act else 1.0
-        negs = [act[k_] for k_ in range(len(act)) if lam_act[k_] < -1e-9 * scale]
-        if not negs:
-            break
-        act = [a_ for a_ in act if a_ not in negs]
+    act = [int(i) for i in range(M) if lam0[i] > s0[i]]
+    if act:
+        Aact = A[act]
+        u_, sv_, vt_ = np.linalg.svd(Aact, full_matrices=True)
+        rank = int((sv_ > 1e-12 * sv_[0]).sum()) if sv_.size else 0
+        yp = vt_[:rank].T @ ((u_.T[:rank] @ r[act]) / sv_[:rank])
+        Z = vt_[rank:].T
+    else:
+        yp = np.zeros(m)
+        Z = np.eye(m)
+    u = Z.T @ (y0 - yp)
+    if (1.0 + beta * (yp + Z @ u) <= 0).any():
+        u = np.zeros(Z.shape[1])
+    if Z.shape[1]:
+        for _n in range(100):
+            yv = yp + Z @ u
+            fy = 1.0 + beta * yv
+            # a cell at F = 0 makes the step non-finite, and a near-
+            # singular face overflows the scaled solve; ndec rejects both
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                gradu = Z.T @ (ws / fy)
+                Hu = (Z.T * (ws / fy**2)) @ Z  # -hessian/beta, SPD
+                d, Hs = _scaled(Hu[None])
+                du = _solve_scaled(Hs, _cholesky(Hs), gradu[None] * d)[0] * d[0] / beta
+                ndec = float(gradu @ du) * beta
+            if not np.isfinite(ndec) or ndec <= 0:
+                break
+            step = 1.0
+            while step > 1e-16 and (
+                1.0 + beta * (yp + Z @ (u + step * du)) <= 0
+            ).any():
+                step *= 0.5
+            u = u + step * du
+            if 0.5 * ndec <= 1e-18 * max(abs(float(_phis(ws1, b1, yv[None])[0])) * beta, 1e-20):
+                break
+        ycand = yp + Z @ u
+    else:
+        ycand = yp
+    fy = 1.0 + beta * ycand
+    if (fy <= 0).any():
+        return best  # face pins a support cell to F = 0; no valid multipliers
+    lam = np.zeros(M)
+    if act:
+        lam_act, *_ = np.linalg.lstsq(A[act].T, ws / fy, rcond=None)
+        for a_, v in zip(act, lam_act):
+            lam[a_] = max(float(v), 0.0)
+    gap = float(_certified_gaps(ws1, A1, r1, b1, ycand[None], lam[None])[0])
+    if gap < best[2]:
+        return ycand, float(_phis(ws1, b1, ycand[None])[0]), gap, lam
     return best
 
 
@@ -378,17 +369,8 @@ def _finish(reduced, best) -> PefSolution:
     """Polish one interior-point result and report its certificate."""
     ws, A, r, beta, sup, keep, n_rows = reduced
     best = (best[0], float(best[1]), float(best[2]), best[3])
-    m = A.shape[1]
     if best[2] > max(REL_TOL * abs(best[1]), GAP_FLOOR):
         best = _polish(ws, A, r, beta, best[0], best[3], best)
-    if best[2] > max(REL_TOL * abs(best[1]), GAP_FLOOR):
-        # fall back to scanning candidate faces by ascending slack
-        order = np.argsort(r - A @ best[0])
-        for size in range(1, min(A.shape[0], 2 * m) + 1):
-            cand = [int(i) for i in order[:size]]
-            best = _polish(ws, A, r, beta, best[0], best[3], best, act=cand)
-            if best[2] <= max(REL_TOL * abs(best[1]), GAP_FLOOR):
-                break
 
     y, pv, gap, lam = best
     rel_gap = gap / max(abs(pv), 1e-300) if math.isfinite(gap) else math.inf
