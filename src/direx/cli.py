@@ -175,6 +175,8 @@ def cmd_pef_opt(args, stamp):
 
 
 def cmd_rate(args, stamp):
+    import numpy as np
+
     from direx import model, pef
 
     table = pef.PefTable.from_json(Path(args.pef).read_text())
@@ -182,7 +184,11 @@ def cmd_rate(args, stamp):
         if not pef.is_valid_pef(a):
             raise InputError(f"{args.pef}: anchor {i} fails the PEF inequality")
     dist = _load(model.ConditionalDistribution, args.distribution)
-    return json.loads(pef.block_gain(table, dist).to_json()), EXIT_OK
+    with np.errstate(all="ignore"):  # a rate that is not finite is refused below
+        rep = pef.block_gain(table, dist)
+    if not (math.isfinite(rep.g_block) and math.isfinite(rep.var_block)):
+        raise InputError(f"{args.pef}: the block rate at {args.distribution} is not finite")
+    return json.loads(rep.to_json()), EXIT_OK
 
 
 def cmd_plan(args, stamp):
@@ -244,12 +250,12 @@ def cmd_accumulate(args, stamp):
     root = Path(args.data)
     if not root.is_dir() or not (root / "manifest.json").exists():
         raise InputError(f"not a dataset directory: {args.data}")
-    k = args.k
-    if k is None:
-        manifest = json.loads((root / "manifest.json").read_text())
-        k = manifest.get("k") if isinstance(manifest, dict) else None
-        if type(k) is not int:  # a bool is not a block length
-            raise InputError(f"{root / 'manifest.json'}: needs an integer \"k\", or pass --k")
+    # the block length the data was recorded with: its spot-check law
+    # sets the PEFs that are valid for it
+    manifest = json.loads((root / "manifest.json").read_text())
+    k = manifest.get("k") if isinstance(manifest, dict) else None
+    if type(k) is not int:  # a bool is not a block length
+        raise InputError(f"{root / 'manifest.json'}: needs an integer \"k\"")
     if args.gmin is None or args.beta is None:
         raise InputError("accumulate needs --beta and --gmin")
     if args.trace_decimation < 1:
@@ -264,6 +270,8 @@ def cmd_accumulate(args, stamp):
             seed=0,  # the analysis draws nothing at random
             check_granularity=args.check_granularity,
         )
+        if args.j_mid is not None and not 1 < args.j_mid < 2**k:  # k is checked above
+            raise InputError(f"--j-mid must satisfy 1 < j_mid < 2^k = {2**k}, got {args.j_mid}")
         cycles, _ = protocol.load_dataset(root)
         n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
         if not n_blocks:
@@ -392,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--beta", type=float)
     p.add_argument("--gmin", type=float)
-    p.add_argument("--k", type=int)
     p.add_argument("--blocks", type=int)
     p.add_argument("--n-calib-min", type=int, default=1)
     p.add_argument("--j-mid", type=int)
@@ -427,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         with _destination(args.output, sys.stdout) as out:
             obj, code = args.func(args, stamp)
             if obj is not None:
-                out.write(json.dumps({**obj, **stamp()}, indent=1) + "\n")
+                out.write(json.dumps({**obj, **stamp()}, indent=1, allow_nan=False) + "\n")
         return code
     except (ValueError, KeyError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -394,6 +394,11 @@ def simulate_dataset(
     """
     if blocks_per_file < 1 or files_per_cycle < 1:
         raise ValueError("blocks_per_file and files_per_cycle must be at least 1")
+    if min(calib_trials, trailing_calib_trials) < 0:
+        raise ValueError(
+            "calib_trials and trailing_calib_trials must be nonnegative, "
+            f"got {calib_trials} and {trailing_calib_trials}"
+        )
     blocks = _join([
         _sample_blocks(nu_h.table, cfg.k, min(_CHUNK, cfg.N_b - a), stream_rng(cfg.seed, stream))
         for stream, a in enumerate(range(0, cfg.N_b, _CHUNK), _CHUNK_STREAMS)

@@ -227,6 +227,19 @@ class TestPefRoundTrip:
         assert proc.stderr.startswith("error: PEF optimisation stalled")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_rate_not_finite_exit_2_with_one_line(self, workdir, capsys):
+        """A table that passes the PEF inequality with F = 0 on a cell the
+        distribution produces has a rate of -inf: refused, not printed as
+        NaN, and without numpy's warnings."""
+        excess = [[0.0] * 15 + [-1e3]] * 3  # F = 1 + beta * excess, beta 1e-3
+        path = workdir / "f-zero.json"
+        path.write_text(json.dumps({"k": 4, "beta": 1e-3, "j_mid": 5, "anchors_excess": excess}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = refused(capsys, "rate", path, workdir / "dist.json")
+        assert not caught
+        assert err == f"error: {path}: the block rate at {workdir / 'dist.json'} is not finite\n"
+
     def test_format_option_is_gone(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pef-opt", str(workdir / "dist.json"), "--beta", "1e-6", "--k", "4",
@@ -344,9 +357,10 @@ class TestSimulateAccumulate:
             "--blocks", "200", "--seed", "5", "--out", ds, "--threads", "1",
         )
         assert code == 0
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps({**manifest, "k": 4}))
         code = cli.main(
-            ["accumulate", str(ds), "--k", "4", "--beta", "1e-6", "--gmin", "1",
-             "--threads", "1"]
+            ["accumulate", str(ds), "--beta", "1e-6", "--gmin", "1", "--threads", "1"]
         )
         err = capsys.readouterr().err
         assert code == cli.EXIT_INPUT_ERROR
@@ -924,7 +938,8 @@ class TestDestinations:
 
     @pytest.mark.parametrize(
         "option",
-        [("--beta", "nan"), ("--gmin", "inf"), ("--blocks", "0"), ("--n-calib-min", "-1")],
+        [("--beta", "nan"), ("--gmin", "inf"), ("--blocks", "0"), ("--n-calib-min", "-1"),
+         ("--j-mid", "1")],
         ids=lambda o: f"{o[0]}={o[1]}",
     )
     def test_accumulate_bad_option_refused_before_reading(self, workdir, capsys, reads, option):
@@ -953,6 +968,21 @@ class TestDestinations:
         err = refused(capsys, *argv[:-1], not_a_dir, "--blocks", "100")
         assert err == f"error: {not_a_dir} is not a directory\n"
         assert not_a_dir.read_bytes() == b"kept\n"
+
+    def test_simulate_negative_trailing_calibration_refused_before_drawing(
+        self, workdir, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("drew blocks before the calibration trials were checked")
+
+        monkeypatch.setattr(protocol, "_sample_blocks", never)
+        out = workdir / "negative-trailing-calibration"
+        err = refused(
+            capsys, "simulate", workdir / "dist.json", "--k", "6", "--blocks", "100",
+            "--trailing-calib-trials", "-1", "--out", out,
+        )
+        assert "trailing_calib_trials" in err
+        assert not out.exists()
 
     def test_plan_unwritable_output_refused_before_planning(self, workdir, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -1056,7 +1086,7 @@ class TestManifestHashPins:
             "rate": "1d274930f8c9456d",
             "plan": "6003acc2ad918d3d",
             "simulate": "236441d847fcbfc4",
-            "accumulate": "b1ad9b25ba158995",
+            "accumulate": "4fbf710c0edcc728",
             "extract-params": "6583431971b89bd6",
             "report": "bf8c9287b01bdaa3",
         }
