@@ -270,7 +270,7 @@ def cmd_accumulate(args, stamp):
             seed=0,  # the analysis draws nothing at random
             check_granularity=args.check_granularity,
         )
-        if args.j_mid is not None and not 1 < args.j_mid < 2**k:  # k is checked above
+        if args.j_mid is not None and not 1 < args.j_mid < 2**k:  # RunConfig bounded k
             raise InputError(f"--j-mid must satisfy 1 < j_mid < 2^k = {2**k}, got {args.j_mid}")
         cycles, _ = protocol.load_dataset(root)
         n_blocks = sum(len(f.blocks) for c in cycles for f in c.files)
